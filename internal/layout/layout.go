@@ -13,6 +13,10 @@
 //	GlobalBase   shared globals and locks, in declaration order
 //	heap         shared heap (alloc), block-aligned start
 //	arenas       one per-process arena (allocpp), each block-aligned
+//
+// The heap (a fixed 16 MiB) and the arenas are reservations, not
+// allocations: the VM backs the space lazily in 4 KiB pages created
+// on first write, so only the pages a program touches cost memory.
 package layout
 
 import (

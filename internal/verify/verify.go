@@ -457,19 +457,28 @@ func (c *comparer) comparePtrCell(v *Verdict, t *types.Type, name string, oaddr,
 		return false
 	}
 	pointee := t.Elem
-	if pointee == nil || pointee.Kind != types.StructK ||
-		!inBounds(c.om, optr) || !inBounds(c.tm, tptr) {
+	if pointee == nil || pointee.Kind != types.StructK {
+		v.Skipped++
+		return true
+	}
+	// A struct missing from a layout sizes as 0 here, so only its
+	// address is checked; compareStruct then reports it missing
+	// before reading anything.
+	osz, _ := c.orig.Layout.SizeOf(pointee)
+	tsz, _ := c.trans.Layout.SizeOf(pointee)
+	if !inBounds(c.om, optr, osz) || !inBounds(c.tm, tptr, tsz) {
 		v.Skipped++
 		return true
 	}
 	return c.compareStruct(v, pointee.Struct.Name, name+"->", optr, tptr, true)
 }
 
-// inBounds reports whether addr is a readable machine address; a
+// inBounds reports whether the size bytes at addr are readable
+// machine memory: above the null page and inside the shared space. A
 // corrupted transformation could leave garbage in a pointer cell, and
 // the oracle must report that, not fault on it.
-func inBounds(m *vm.Machine, addr int64) bool {
-	return addr > 0 && addr < int64(len(m.Mem()))
+func inBounds(m *vm.Machine, addr, size int64) bool {
+	return addr >= layout.GlobalBase && addr <= m.MemSize()-size
 }
 
 // compareHeap compares the allocation a shared pointer global refers
@@ -544,6 +553,12 @@ func (c *comparer) compareScalar2(v *Verdict, t *types.Type, name string, oaddr,
 			v.OK = false
 			v.First = &Divergence{Cell: name, OrigAddr: oaddr, TransAddr: taddr,
 				Orig: c.render(c.om, t, oaddr), Trans: "nil indirection"}
+			return false
+		}
+		if size, _ := t.ScalarSize(); !inBounds(c.tm, p, size) {
+			v.OK = false
+			v.First = &Divergence{Cell: name, OrigAddr: oaddr, TransAddr: taddr,
+				Orig: c.render(c.om, t, oaddr), Trans: fmt.Sprintf("indirection %#x out of range", p)}
 			return false
 		}
 		taddr = p

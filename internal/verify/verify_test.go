@@ -3,6 +3,7 @@
 package verify_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -252,5 +253,101 @@ void main() {
 	}
 	if rep.OK {
 		t.Fatalf("skipped report must not claim OK:\n%s", rep)
+	}
+}
+
+// withEnd builds a hand-crafted side from template, with END replaced
+// by the first address past that program's shared space minus back.
+// The placeholder does not move the layout, so the address computed
+// from the first build holds for the second.
+func withEnd(t *testing.T, template string, nprocs int, back int64) verify.Side {
+	t.Helper()
+	end := parseOnly(t, strings.Replace(template, "END", "0", 1), nprocs).Layout.End
+	s := parseOnly(t, strings.Replace(template, "END", strconv.FormatInt(end-back, 10), 1), nprocs)
+	if s.Layout.End != end {
+		t.Fatalf("layout moved with the placeholder: %#x vs %#x", s.Layout.End, end)
+	}
+	return s
+}
+
+// TestVerifyPtrCellNearEnd: a transformed-side pointer cell holding
+// an address 4 bytes short of the end of shared space points at a
+// struct that does not fit. The oracle skips the cell, as it skips
+// any pointer it cannot bound-check, instead of faulting on the
+// struct's second field.
+func TestVerifyPtrCellNearEnd(t *testing.T) {
+	orig := parseOnly(t, `
+struct S { int a; int b; };
+shared struct S *p[2];
+void main() {
+    if (pid == 0) {
+        p[0] = alloc(struct S);
+    }
+}
+`, 2)
+	// The "transformed" p is a plain int array whose first two words
+	// alias p[0]'s pointer word.
+	trans := withEnd(t, `
+struct S { int a; int b; };
+shared int p[4];
+void main() {
+    if (pid == 0) {
+        p[0] = END;
+    }
+}
+`, 2, 4)
+	rep, err := verify.Run(orig, trans, nil, verify.Options{})
+	if err != nil {
+		t.Fatalf("verify.Run: %v", err)
+	}
+	if rep.Skipped || rep.TransErr != "" {
+		t.Fatalf("run not conclusive:\n%s", rep)
+	}
+	if len(rep.Objects) != 1 || rep.Objects[0].Object != "p" {
+		t.Fatalf("objects: %+v", rep.Objects)
+	}
+	if v := rep.Objects[0]; !v.OK || v.Skipped != 2 || v.Cells != 0 {
+		t.Fatalf("out-of-range pointer cell should be skipped, not compared:\n%s", rep)
+	}
+}
+
+// TestVerifyIndirectionOutOfRange: an indirected field whose
+// transformed-side pointer lies past the end of shared space is a
+// divergence naming the bad pointer, not a fault.
+func TestVerifyIndirectionOutOfRange(t *testing.T) {
+	orig := parseOnly(t, `
+struct S { int a; int b; };
+shared struct S *h;
+void main() {
+    if (pid == 0) {
+        h = alloc(struct S);
+        h->a = 5;
+    }
+}
+`, 2)
+	// Field a is declared indirected, so its 8-byte pointer word on
+	// the transformed side spans a and b: a holds the address, b 0.
+	trans := withEnd(t, `
+struct S { int a; int b; };
+shared struct S *h;
+void main() {
+    if (pid == 0) {
+        h = alloc(struct S);
+        h->a = END;
+    }
+}
+`, 2, 0)
+	applied := []*transform.Decision{{Kind: transform.KindIndirection, Struct: "S", Fields: []string{"a"}}}
+	rep, err := verify.Run(orig, trans, applied, verify.Options{})
+	if err != nil {
+		t.Fatalf("verify.Run: %v", err)
+	}
+	fail := rep.Failing()
+	if rep.OK || len(fail) != 1 || fail[0].Object != "h" {
+		t.Fatalf("bad indirection not reported:\n%s", rep)
+	}
+	d := fail[0].First
+	if d == nil || d.Cell != "h[0].a" || !strings.Contains(d.Trans, "out of range") {
+		t.Fatalf("divergence %+v does not name the bad indirection", d)
 	}
 }

@@ -123,8 +123,8 @@ void main() {
 	if got := m.ReadDouble(lay.Var("d").Base); got != 1.25 {
 		t.Errorf("ReadDouble = %v", got)
 	}
-	if len(m.Mem()) != int(prog.SharedEnd) {
-		t.Errorf("Mem length mismatch")
+	if m.MemSize() != prog.SharedEnd {
+		t.Errorf("MemSize = %d, want %d", m.MemSize(), prog.SharedEnd)
 	}
 	// Counters populated.
 	for _, p := range m.Procs() {

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -22,6 +21,10 @@ type Ref struct {
 // nullPage is the unmapped low address range; dereferences into it are
 // reported as null-pointer errors.
 const nullPage = 0x1000
+
+// defaultMaxInstrs is the per-process step budget when
+// Machine.MaxInstrs is zero.
+const defaultMaxInstrs int64 = 1e9
 
 // Status is a process's scheduling state.
 type Status int
@@ -44,7 +47,7 @@ type Proc struct {
 	ID     int
 	frames []frame
 	stack  []int64
-	priv   []byte
+	priv   space
 	bump   int64 // private-space bump pointer (local arrays)
 	status Status
 
@@ -64,7 +67,7 @@ type allocEntry struct {
 type Machine struct {
 	prog   *Program
 	nprocs int
-	mem    []byte
+	mem    space
 	procs  []*Proc
 
 	heapPtr  int64
@@ -77,7 +80,7 @@ type Machine struct {
 	// MaxInstrs is the step budget: it bounds per-process execution so
 	// a non-terminating program (a restructurer bug, an adversarial
 	// input) fails with "step budget exceeded" instead of hanging the
-	// whole sweep. Zero means the default of 1e9.
+	// whole sweep. Zero means defaultMaxInstrs (1e9).
 	MaxInstrs int64
 
 	// OnBarrier, when set, is invoked at every barrier release — the
@@ -109,11 +112,11 @@ func New(prog *Program) *Machine {
 	m := &Machine{
 		prog:        prog,
 		nprocs:      n,
-		mem:         make([]byte, prog.SharedEnd),
+		mem:         newSpace(prog.SharedEnd),
 		heapPtr:     prog.HeapBase,
 		arenaPtr:    make([]int64, n),
 		arenaAllocs: make([][]allocEntry, n),
-		MaxInstrs:   1e9,
+		MaxInstrs:   defaultMaxInstrs,
 	}
 	for p := 0; p < n; p++ {
 		m.arenaPtr[p] = prog.ArenaBase + int64(p)*prog.ArenaSize
@@ -122,7 +125,7 @@ func New(prog *Program) *Machine {
 		main := prog.Funcs[prog.Main]
 		proc := &Proc{
 			ID:   p,
-			priv: make([]byte, prog.PrivSize),
+			priv: newSpace(prog.PrivSize),
 			bump: prog.PrivSize / 2, // local arrays grow above private globals
 		}
 		proc.frames = []frame{{fn: main, locals: make([]int64, main.NLocals)}}
@@ -131,7 +134,7 @@ func New(prog *Program) *Machine {
 	return m
 }
 
-// / SetContext makes the run cancellable: the scheduler polls ctx
+// SetContext makes the run cancellable: the scheduler polls ctx
 // between rounds and Run returns ctx.Err() once it is cancelled. The
 // experiment pool routes per-job deadlines and Ctrl-C through here.
 func (m *Machine) SetContext(ctx context.Context) { m.ctx = ctx }
@@ -139,8 +142,9 @@ func (m *Machine) SetContext(ctx context.Context) { m.ctx = ctx }
 // Procs exposes the per-process counters after a run.
 func (m *Machine) Procs() []*Proc { return m.procs }
 
-// Mem returns the shared memory image (for tests).
-func (m *Machine) Mem() []byte { return m.mem }
+// MemSize returns the size in bytes of the shared address space: an
+// n-byte access at addr is in range when addr+n <= MemSize().
+func (m *Machine) MemSize() int64 { return m.mem.size }
 
 // Barriers returns the number of barrier episodes executed.
 func (m *Machine) Barriers() int64 { return m.barrierCount }
@@ -173,18 +177,21 @@ func (m *Machine) TotalSpins() int64 {
 }
 
 // ReadInt reads a 4-byte integer from shared memory (for tests).
-func (m *Machine) ReadInt(addr int64) int64 {
-	return int64(int32(binary.LittleEndian.Uint32(m.mem[addr:])))
-}
+func (m *Machine) ReadInt(addr int64) int64 { return m.peek(addr, 4) }
 
 // ReadDouble reads an 8-byte double from shared memory (for tests).
-func (m *Machine) ReadDouble(addr int64) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(m.mem[addr:]))
-}
+func (m *Machine) ReadDouble(addr int64) float64 { return pf(m.peek(addr, 8)) }
 
 // ReadPtr reads an 8-byte pointer word from shared memory.
-func (m *Machine) ReadPtr(addr int64) int64 {
-	return int64(binary.LittleEndian.Uint64(m.mem[addr:]))
+func (m *Machine) ReadPtr(addr int64) int64 { return m.peek(addr, 8) }
+
+// peek reads a word for the accessors above. Callers bound-check
+// against MemSize; an address outside the space panics.
+func (m *Machine) peek(addr int64, size int) int64 {
+	if addr < 0 || addr > m.mem.size-int64(size) {
+		panic(fmt.Sprintf("vm: %d-byte read at %#x outside shared space of %#x bytes", size, addr, m.mem.size))
+	}
+	return m.mem.load(addr, size)
 }
 
 // AllocSpan returns the shared-heap allocation containing addr —
@@ -296,15 +303,23 @@ func (m *Machine) run(sink func(Ref)) error {
 
 // step advances one process until it emits a shared reference, blocks,
 // finishes, or runs out of its private-instruction slice.
+//
+// The current frame and its code stay in locals; only a call or a
+// return, which change the frame stack, reload them.
 func (m *Machine) step(p *Proc, slice int, sink func(Ref)) error {
+	budget := m.MaxInstrs
+	if budget <= 0 {
+		budget = defaultMaxInstrs
+	}
+	f := &p.frames[len(p.frames)-1]
+	code := f.fn.Code
 	for i := 0; i < slice; i++ {
-		f := &p.frames[len(p.frames)-1]
-		if f.pc >= len(f.Code()) {
+		if f.pc >= len(code) {
 			return m.fail(p, f, "fell off end of code")
 		}
-		in := f.Code()[f.pc]
+		in := code[f.pc]
 		p.Instrs++
-		if p.Instrs > m.max() {
+		if p.Instrs > budget {
 			return m.fail(p, f, "step budget exceeded (%d instrs) at pc=%d (runaway program?)", p.Instrs-1, f.pc)
 		}
 
@@ -321,18 +336,14 @@ func (m *Machine) step(p *Proc, slice int, sink func(Ref)) error {
 		if emitted {
 			return nil
 		}
+		switch in.Op {
+		case OpCall, OpRet, OpRetV:
+			f = &p.frames[len(p.frames)-1]
+			code = f.fn.Code
+		}
 	}
 	return nil
 }
-
-func (m *Machine) max() int64 {
-	if m.MaxInstrs > 0 {
-		return m.MaxInstrs
-	}
-	return 1e9
-}
-
-func (f *frame) Code() []Instr { return f.fn.Code }
 
 func (m *Machine) fail(p *Proc, f *frame, format string, args ...any) error {
 	line := 0
@@ -575,10 +586,10 @@ func (m *Machine) exec(p *Proc, f *frame, in Instr, sink func(Ref)) (emitted, bl
 
 	case OpLockAcq:
 		addr := p.top()
-		if addr&PrivTag != 0 || addr <= 0 || addr+4 > int64(len(m.mem)) {
+		if addr&PrivTag != 0 || addr <= 0 || addr+4 > m.mem.size {
 			return false, false, m.fail(p, f, "invalid lock address %#x", addr)
 		}
-		v := int64(int32(binary.LittleEndian.Uint32(m.mem[addr:])))
+		v := m.mem.load(addr, 4)
 		m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: 4, Write: false})
 		if v != 0 {
 			// Held: spin. Keep the address on the stack and retry this
@@ -587,30 +598,28 @@ func (m *Machine) exec(p *Proc, f *frame, in Instr, sink func(Ref)) (emitted, bl
 			return true, true, nil
 		}
 		p.pop()
-		binary.LittleEndian.PutUint32(m.mem[addr:], 1)
+		m.mem.store(addr, 1, 4)
 		m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: 4, Write: true})
 		emitted = true
 
 	case OpLockRel:
 		addr := p.pop()
-		if addr&PrivTag != 0 || addr <= 0 || addr+4 > int64(len(m.mem)) {
+		if addr&PrivTag != 0 || addr <= 0 || addr+4 > m.mem.size {
 			return false, false, m.fail(p, f, "invalid lock address %#x", addr)
 		}
-		binary.LittleEndian.PutUint32(m.mem[addr:], 0)
+		m.mem.store(addr, 0, 4)
 		m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: 4, Write: true})
 		emitted = true
 
 	case OpLocalArr:
 		size := align64(in.A, 8)
 		base := p.bump
-		if base+size > int64(len(p.priv)) {
+		if base+size > p.priv.size {
 			return false, false, m.fail(p, f, "private space exhausted")
 		}
 		p.bump += size
 		// Zero the array (fresh storage per execution).
-		for i := base; i < base+size; i++ {
-			p.priv[i] = 0
-		}
+		p.priv.clear(base, size)
 		f.locals[in.B] = base | PrivTag
 
 	default:
@@ -631,56 +640,41 @@ func (m *Machine) emit(p *Proc, sink func(Ref), r Ref) {
 func (m *Machine) load(p *Proc, f *frame, addr int64, size int, sink func(Ref), emitted *bool) (int64, error) {
 	if addr&PrivTag != 0 {
 		off := addr &^ PrivTag
-		if off < 0 || off+int64(size) > int64(len(p.priv)) {
+		if off < 0 || off+int64(size) > p.priv.size {
 			return 0, m.fail(p, f, "private access out of range %#x", off)
 		}
-		return rd(p.priv[off:], size), nil
+		return p.priv.load(off, size), nil
 	}
 	if addr >= 0 && addr < nullPage {
 		return 0, m.fail(p, f, "null pointer dereference (address %#x)", addr)
 	}
-	if addr <= 0 || addr+int64(size) > int64(len(m.mem)) {
+	if addr <= 0 || addr+int64(size) > m.mem.size {
 		return 0, m.fail(p, f, "shared load out of range %#x", addr)
 	}
 	m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: int8(size), Write: false})
 	*emitted = true
-	return rd(m.mem[addr:], size), nil
+	return m.mem.load(addr, size), nil
 }
 
 func (m *Machine) store(p *Proc, f *frame, addr, v int64, size int, sink func(Ref), emitted *bool) error {
 	if addr&PrivTag != 0 {
 		off := addr &^ PrivTag
-		if off < 0 || off+int64(size) > int64(len(p.priv)) {
+		if off < 0 || off+int64(size) > p.priv.size {
 			return m.fail(p, f, "private access out of range %#x", off)
 		}
-		wr(p.priv[off:], v, size)
+		p.priv.store(off, v, size)
 		return nil
 	}
 	if addr >= 0 && addr < nullPage {
 		return m.fail(p, f, "null pointer dereference (address %#x)", addr)
 	}
-	if addr <= 0 || addr+int64(size) > int64(len(m.mem)) {
+	if addr <= 0 || addr+int64(size) > m.mem.size {
 		return m.fail(p, f, "shared store out of range %#x", addr)
 	}
-	wr(m.mem[addr:], v, size)
+	m.mem.store(addr, v, size)
 	m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: int8(size), Write: true})
 	*emitted = true
 	return nil
-}
-
-func rd(b []byte, size int) int64 {
-	if size == 4 {
-		return int64(int32(binary.LittleEndian.Uint32(b)))
-	}
-	return int64(binary.LittleEndian.Uint64(b))
-}
-
-func wr(b []byte, v int64, size int) {
-	if size == 4 {
-		binary.LittleEndian.PutUint32(b, uint32(v))
-	} else {
-		binary.LittleEndian.PutUint64(b, uint64(v))
-	}
 }
 
 // strideOf resolves the element stride of the allocation containing
