@@ -10,8 +10,8 @@
 //	fsexp -all -scale-min -j 4                        # smoke-test config
 //	fsexp -all -reportdir runs/                       # one JSON manifest
 //	                                                  # per figure/table
-//	fsexp -all -resume runs/r1                        # checkpoint cells;
-//	                                                  # re-run resumes
+//	fsexp -all -resume runs/r1                        # store cells; a
+//	                                                  # re-run replays them
 //	fsexp -all -keep-going                            # render what
 //	                                                  # survives failures
 //
@@ -22,7 +22,7 @@
 //
 // Fault tolerance: Ctrl-C (or SIGTERM) cancels the run cooperatively —
 // cells in flight stop at their next cancellation check, finished
-// cells stay checkpointed when -resume is set, and a second interrupt
+// cells stay in the -resume cell store, and a second interrupt
 // exits immediately (reaping any spawned worker processes). -job-timeout
 // bounds each cell, -retries re-runs transiently failed cells,
 // -step-budget caps VM instructions so a runaway program fails instead
@@ -34,9 +34,15 @@
 // accepts external workers started with `fsexp -worker -connect`.
 // Dead or hung workers are detected by heartbeat and per-cell
 // deadline, their cells reassigned, and the resulting manifests are
-// byte-identical (modulo timing) to a single-process run. -cache
-// dedups cells through a persistent content-addressed store. See
+// byte-identical (modulo timing) to a single-process run. With
+// -resume the workers commit every cell to the same cell store. See
 // internal/experiments/fabric.
+//
+// The -resume cell store keys every cell by a fingerprint of
+// everything it depends on (program source, scale, block, procs,
+// -step-budget, -verify, -diag, ...) and by a hash of the fsexp
+// executable, so a re-run reuses exactly the cells it would compute
+// and recomputes the rest; -compilecost rows are always re-measured.
 package main
 
 import (
@@ -54,7 +60,6 @@ import (
 
 	"falseshare/internal/experiments"
 	"falseshare/internal/experiments/fabric"
-	"falseshare/internal/experiments/journal"
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
@@ -93,10 +98,8 @@ func main() {
 		connect    = flag.String("connect", "", "with -worker: attach to a coordinator listening at this host:port")
 		workersN   = flag.Int("workers", 0, "distribute cells across this many spawned worker processes (0 = run in-process)")
 		listenAddr = flag.String("listen", "", "accept external fabric workers on this TCP host:port")
-		cacheDir   = flag.String("cache", "", "content-addressed result cache directory: identical cells dedup across runs and shards")
-		cacheBytes = flag.Int64("cache-bytes", 0, "LRU byte budget for -cache: least-recently-used entries are evicted past this size (0 = unlimited)")
 
-		resume     = flag.String("resume", "", "checkpoint completed cells into this directory's journal and skip cells already checkpointed")
+		resume     = flag.String("resume", "", "cell store directory: store every completed cell there and replay cells already stored")
 		keepGoing  = flag.Bool("keep-going", false, "keep running after cell failures and render partial figures/tables (default: fail fast)")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-cell deadline, e.g. 90s (0 = none)")
 		retries    = flag.Int("retries", 0, "retry a transiently failed cell up to this many times")
@@ -113,7 +116,7 @@ func main() {
 	flag.Parse()
 
 	// Worker mode: no sections, no flags beyond the link — everything
-	// a worker needs (grid spec, sections, fault spec, journal file)
+	// a worker needs (grid spec, sections, fault spec, store directory)
 	// arrives in the coordinator's hello frame.
 	if *workerMode {
 		var err error
@@ -220,10 +223,10 @@ func main() {
 	}
 
 	// First interrupt: cancel the run cooperatively — cells in flight
-	// stop at their next check, the journal, worker journals and any
-	// partial manifests are flushed on the way out. Second interrupt:
-	// exit immediately — but reap spawned workers first, so an
-	// impatient Ctrl-C Ctrl-C never leaves orphan fsexp -worker
+	// stop at their next check, partial manifests are written on the
+	// way out, and finished cells are already in the store. Second
+	// interrupt: exit immediately — but reap spawned workers first, so
+	// an impatient Ctrl-C Ctrl-C never leaves orphan fsexp -worker
 	// processes behind.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -242,20 +245,13 @@ func main() {
 		os.Exit(130)
 	}()
 
-	var jnl *journal.Journal
 	if *resume != "" {
-		// Fold in worker journals a previous (crashed or killed)
-		// distributed run left behind: cells its workers finished but
-		// never reported resume instead of recomputing.
-		check(fabric.MergeWorkerJournals(*resume))
-		var err error
-		jnl, err = journal.Open(*resume)
+		store, err := experiments.OpenStore(*resume)
 		check(err)
-		if n := jnl.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "fsexp: resuming: %d cells checkpointed in %s\n", n, jnl.Path())
+		if n := store.Counters().Entries; n > 0 {
+			fmt.Fprintf(os.Stderr, "fsexp: resuming: %d cells stored in %s\n", n, *resume)
 		}
-		defer jnl.Close()
-		cfg.Journal = jnl
+		cfg.Store = store
 	}
 
 	// Distributed mode: spawn/accept fabric workers and route every
@@ -264,7 +260,6 @@ func main() {
 	// byte-identical to an in-process run.
 	var coord *fabric.Coordinator
 	var fabricRec *obs.Recorder
-	var fabricCache *fabric.Cache
 	if *workersN > 0 || *listenAddr != "" {
 		var sections []string
 		if *fig3 {
@@ -291,13 +286,6 @@ func main() {
 		if len(sections) == 0 {
 			check(fmt.Errorf("-workers/-listen: no distributable sections selected (fig3, aggregates, table2, fig4, table3, compilecost, matrix)"))
 		}
-		var cc *fabric.Cache
-		if *cacheDir != "" {
-			var err error
-			cc, err = fabric.OpenCacheBudget(*cacheDir, *cacheBytes)
-			check(err)
-		}
-		fabricCache = cc
 		fabricRec = obs.NewRecorder()
 		if base := obs.Default(); base != nil {
 			fabricRec.Verbose = base.Verbose
@@ -317,7 +305,6 @@ func main() {
 			},
 			Faults:   faultSpec,
 			RunDir:   *resume,
-			Cache:    cc,
 			Policy:   cfg.Policy,
 			Recorder: fabricRec,
 		})
@@ -330,7 +317,7 @@ func main() {
 	}
 
 	// shutdownFabric drains the fabric exactly once: shutdown frames,
-	// journal merge, the stderr summary line, and (with -reportdir) a
+	// the stderr summary line, and (with -reportdir) a
 	// separate fabric manifest. The fabric's telemetry lives in its
 	// own manifest because scheduling is nondeterministic — folding it
 	// into the figure manifests would break their byte-identity.
@@ -340,20 +327,14 @@ func main() {
 			return
 		}
 		fabricDone = true
-		if err := coord.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "fsexp: fabric: %v\n", err)
-		}
+		coord.Close()
 		st := coord.Stats()
-		// Stats first, then flush the cache's LRU index: the counters
-		// (hits/misses/corrupt/evicted) ride in st.
-		if err := fabricCache.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "fsexp: fabric: %v\n", err)
-		}
-		fmt.Fprintln(os.Stderr, "fsexp: "+st.Summary())
+		fmt.Fprintln(os.Stderr, "fsexp: "+st.Summary(cfg.Store.Counters()))
 		if *reportDir != "" {
 			rep := fabricRec.Report("fsexp")
 			rep.AddData("name", "fabric")
 			rep.AddData("stats", st)
+			rep.AddData("cache", cfg.Store.Counters())
 			if path, werr := experiments.WriteManifest(*reportDir, "fabric", rep); werr != nil {
 				fmt.Fprintf(os.Stderr, "fsexp: fabric manifest: %v\n", werr)
 			} else if *verbose {
@@ -369,19 +350,17 @@ func main() {
 	var failSections []string
 	interrupted := false
 
-	// fatal ends the run on an experiment error: journal flushed,
-	// resume hint printed, exit code 130 for an interrupted run and 1
-	// otherwise.
+	// fatal ends the run on an experiment error: resume hint printed,
+	// exit code 130 for an interrupted run and 1 otherwise.
 	fatal := func(name string, err error) {
 		shutdownFabric()
-		jnl.Close()
 		fmt.Fprintf(os.Stderr, "fsexp: %s: %v\n", name, err)
 		code := 1
 		if errors.Is(err, context.Canceled) {
 			code = 130
 		}
 		if *resume != "" {
-			fmt.Fprintf(os.Stderr, "fsexp: completed cells are checkpointed; re-run with -resume %s to continue\n", *resume)
+			fmt.Fprintf(os.Stderr, "fsexp: completed cells are stored; re-run with -resume %s to continue\n", *resume)
 		} else {
 			fmt.Fprintln(os.Stderr, "fsexp: hint: run with -resume <dir> to make interrupted runs resumable")
 		}
@@ -540,9 +519,8 @@ func main() {
 		for _, s := range failSections {
 			fmt.Print(s)
 		}
-		jnl.Close()
 		if *resume != "" {
-			fmt.Fprintf(os.Stderr, "fsexp: completed cells are checkpointed; re-run with -resume %s to retry only the failed ones\n", *resume)
+			fmt.Fprintf(os.Stderr, "fsexp: completed cells are stored; re-run with -resume %s to retry only the failed ones\n", *resume)
 		}
 		if interrupted {
 			os.Exit(130)

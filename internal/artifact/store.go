@@ -26,9 +26,10 @@
 //
 // The store is safe for concurrent use within a process. Multiple
 // processes may share a directory (atomic renames keep every file
-// well-formed); each process then tracks its own recency and byte
-// accounting, and entries written by others are adopted on first
-// read.
+// well-formed, and a writer whose tmp file another process's recovery
+// scan reaped writes it again); each process then tracks its own
+// recency and byte accounting, and entries written by others are
+// adopted on first read.
 package artifact
 
 import (
@@ -37,6 +38,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -312,28 +314,28 @@ func (s *Store) Put(ctx context.Context, schema, key string, data json.RawMessag
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("artifact: put %s: %w", key, err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := writeTmp(filepath.Dir(path), b)
 	if err != nil {
-		return fmt.Errorf("artifact: put %s: %w", key, err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("artifact: put %s: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("artifact: put %s: %w", key, err)
 	}
 	// The crash window: a ModeExit fault here terminates the process
 	// with the tmp file written but the entry not yet committed —
 	// exactly what kill -9 between write and rename leaves behind.
 	if _, err := s.fire(ctx, "rename/"+key); err != nil {
-		os.Remove(tmp.Name())
+		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	err = os.Rename(tmp, path)
+	if errors.Is(err, fs.ErrNotExist) {
+		// Another process sharing the directory opened it meanwhile,
+		// and its recovery scan reaped our tmp file as an orphan:
+		// write it once more.
+		if tmp, err = writeTmp(filepath.Dir(path), b); err == nil {
+			err = os.Rename(tmp, path)
+		}
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("artifact: put %s: %w", key, err)
 	}
 
@@ -342,6 +344,23 @@ func (s *Store) Put(ctx context.Context, schema, key string, data json.RawMessag
 	s.touch(hash, int64(len(b)))
 	s.evictOver(hash)
 	return nil
+}
+
+// writeTmp writes b to a fresh tmp file in dir and returns its name.
+func writeTmp(dir string, b []byte) (string, error) {
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if err != nil {
+		return "", err
+	}
+	_, err = tmp.Write(b)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", err
+	}
+	return tmp.Name(), nil
 }
 
 // fire triggers the store's fault point. A corrupt-mode injection

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"falseshare/internal/faultinject"
 )
@@ -279,6 +280,41 @@ func TestStoreErrorFaultFailsPutCleanly(t *testing.T) {
 	}
 	if _, ok := s.Get("v1", "alpha"); ok {
 		t.Error("failed put left a readable entry")
+	}
+}
+
+// TestStorePutSurvivesConcurrentRecovery: processes sharing a
+// directory each run the recovery scan when they open it, and one that
+// opens while a writer is inside its commit window reaps the writer's
+// tmp file as an orphan. The writer must write the entry again rather
+// than lose it. The delay fault holds the writer in the window while
+// a second store opens the directory.
+func TestStorePutSurvivesConcurrentRecovery(t *testing.T) {
+	set, err := faultinject.Parse("test.store=rename/alpha:delay=400ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Enable(set)
+	defer faultinject.Disable()
+
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{FaultPoint: "test.store"})
+	reaped := make(chan int64, 1)
+	go func() {
+		time.Sleep(100 * time.Millisecond)
+		s, err := Open(dir, Options{})
+		if err != nil {
+			reaped <- -1
+			return
+		}
+		reaped <- s.Counters().CorruptDropped
+	}()
+	put(t, w, "v1", "alpha", `1`)
+	if n := <-reaped; n != 1 {
+		t.Fatalf("concurrent open reaped %d tmp files, want 1 (the writer's)", n)
+	}
+	if d, ok := mustOpen(t, dir, Options{}).Get("v1", "alpha"); !ok || string(d) != `1` {
+		t.Errorf("entry lost to a concurrent recovery scan: %s, %v", d, ok)
 	}
 }
 

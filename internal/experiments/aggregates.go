@@ -32,7 +32,7 @@ type Aggregates struct {
 
 // aggCell is one program version's miss split for the aggregates.
 // The fields are exported so a cell survives the JSON round trip
-// through the resume journal.
+// through the cell store.
 type aggCell struct {
 	Prog  string  `json:"prog"`
 	Ver   Version `json:"ver"`

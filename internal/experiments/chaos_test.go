@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"falseshare/internal/core"
-	"falseshare/internal/experiments/journal"
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/faultinject"
 )
@@ -21,7 +20,7 @@ import (
 // workers, under the keep-going policy. Every case asserts the same
 // three things the runner promises: the pool drains cleanly (complete
 // per-job accounting, no hang, no leaked goroutine — the race
-// detector rides along in CI), the journal holds exactly the cells
+// detector rides along in CI), the cell store holds exactly the cells
 // that succeeded, and a resumed run completes the rest and converges
 // to the same results as an undisturbed run.
 
@@ -42,12 +41,14 @@ void main() {
 // chaosJobs builds n identical compile→run→simulate jobs over the
 // chaos program. simWorkers > 1 with several blocks routes the
 // measurement through the ParTee fan-out (the trace.partee fault
-// point); 1 keeps it on the serial path.
+// point); 1 keeps it on the serial path. Each job carries a distinct
+// fingerprint so the cell store keeps it.
 func chaosJobs(blocks []int64, n, simWorkers int) []pool.Job[int64] {
 	jobs := make([]pool.Job[int64], n)
 	for i := range jobs {
 		jobs[i] = pool.Job[int64]{
-			Key: fmt.Sprintf("chaos/cell%d", i),
+			Key:         fmt.Sprintf("chaos/cell%d", i),
+			Fingerprint: fingerprint("chaos", fmt.Sprintf("cell=%d", i), fmt.Sprintf("blocks=%v", blocks), fmt.Sprintf("simw=%d", simWorkers)),
 			Run: func(ctx context.Context) (int64, error) {
 				prog, err := core.CompileCtx(ctx, chaosSource, core.Options{Nprocs: 4, BlockSize: blocks[0]})
 				if err != nil {
@@ -65,9 +66,9 @@ func chaosJobs(blocks []int64, n, simWorkers int) []pool.Job[int64] {
 }
 
 // TestChaosMatrix: error/panic/delay at each fault point, keep-going,
-// with a journal. Failures must be confined to the injected count,
-// the journal must checkpoint exactly the survivors, and a resumed
-// run (faults off) must finish the rest.
+// with a cell store. Failures must be confined to the injected count,
+// the store must keep exactly the survivors, and a resumed run
+// (faults off) must recompute exactly the failed cells.
 func TestChaosMatrix(t *testing.T) {
 	const nJobs = 6
 	serialBlocks := []int64{64}
@@ -102,14 +103,14 @@ func TestChaosMatrix(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			jnl, err := journal.Open(dir)
+			st, err := OpenStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg := Config{
 				Workers: 4,
 				Policy:  pool.Policy{FailFast: false},
-				Journal: jnl,
+				Store:   st,
 			}
 			s, err := faultinject.Parse(tc.spec)
 			if err != nil {
@@ -123,10 +124,9 @@ func TestChaosMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("delay fault must not fail jobs: %v", err)
 				}
-				if jnl.Len() != nJobs {
-					t.Fatalf("journal has %d cells, want %d", jnl.Len(), nJobs)
+				if n := st.Counters().Entries; n != nJobs {
+					t.Fatalf("store has %d cells, want %d", n, nJobs)
 				}
-				jnl.Close()
 				return
 			}
 
@@ -149,28 +149,24 @@ func TestChaosMatrix(t *testing.T) {
 					t.Errorf("%s: surviving cell has empty result %d", key, r)
 				}
 			}
-			// The journal checkpointed exactly the survivors.
-			if jnl.Len() != nJobs-tc.wantFail {
-				t.Errorf("journal has %d cells, want %d", jnl.Len(), nJobs-tc.wantFail)
+			// The store kept exactly the survivors.
+			if n := st.Counters().Entries; n != int64(nJobs-tc.wantFail) {
+				t.Errorf("store has %d cells, want %d", n, nJobs-tc.wantFail)
 			}
-			for _, f := range failures {
-				if _, _, ok := jnl.Lookup(f.Key); ok {
-					t.Errorf("failed cell %s was checkpointed", f.Key)
-				}
-			}
-			jnl.Close()
 
 			// Resume with faults off: only the failed cells re-run, and
 			// the final results match an undisturbed run.
-			jnl2, err := journal.Open(dir)
+			st2, err := OpenStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer jnl2.Close()
-			cfg.Journal = jnl2
+			cfg.Store = st2
 			resumed, err := runJobs(cfg, "chaos", chaosJobs(tc.blocks, nJobs, tc.simW))
 			if err != nil {
 				t.Fatalf("resume failed: %v", err)
+			}
+			if c := st2.Counters(); c.Misses != int64(tc.wantFail) || c.Hits != int64(nJobs-tc.wantFail) {
+				t.Errorf("resume: hits=%d misses=%d, want %d/%d", c.Hits, c.Misses, nJobs-tc.wantFail, tc.wantFail)
 			}
 			clean, err := runJobs(Config{Workers: 4}, "chaos", chaosJobs(tc.blocks, nJobs, tc.simW))
 			if err != nil {
@@ -229,7 +225,7 @@ func TestChaosFailFastDrain(t *testing.T) {
 
 // TestChaosInterruptedResumeManifest is the acceptance criterion:
 // a run interrupted partway (fail-fast cancellation after an injected
-// failure) and then resumed from its journal must produce a manifest
+// failure) and then resumed from its cell store must produce a manifest
 // byte-identical — modulo timing fields — to an uninterrupted run.
 func TestChaosInterruptedResumeManifest(t *testing.T) {
 	cfg := determinismConfig(4)
@@ -239,7 +235,7 @@ func TestChaosInterruptedResumeManifest(t *testing.T) {
 
 	// Interrupted run: one cell fails, fail-fast cancels the rest.
 	dir := t.TempDir()
-	jnl, err := journal.Open(dir)
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,28 +245,26 @@ func TestChaosInterruptedResumeManifest(t *testing.T) {
 	}
 	faultinject.Enable(s)
 	icfg := cfg
-	icfg.Journal = jnl
+	icfg.Store = st
 	icfg.Policy = pool.Policy{FailFast: true}
 	_, ierr := RunManifest("fsexp", "fig3", ConfigMap(icfg), func() (any, error) { return Figure3(icfg) })
 	faultinject.Disable()
 	if ierr == nil {
 		t.Fatal("interrupted run reported success")
 	}
-	if !errors.Is(ierr, pool.ErrSkipped) && jnl.Len() == 0 {
+	completed := st.Counters().Entries
+	if !errors.Is(ierr, pool.ErrSkipped) && completed == 0 {
 		t.Log("note: no cells were skipped — interruption landed late")
 	}
-	jnl.Close()
-	completed := jnl.Len()
 
-	// Resumed run: checkpointed cells replay from the journal, the
-	// rest execute fresh.
-	jnl2, err := journal.Open(dir)
+	// Resumed run: stored cells replay from the store, the rest
+	// execute fresh.
+	st2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jnl2.Close()
 	rcfg := cfg
-	rcfg.Journal = jnl2
+	rcfg.Store = st2
 	resumed := manifestBytes(t, "fig3", rcfg, func() (any, error) { return Figure3(rcfg) })
 
 	if !bytes.Equal(clean, resumed) {
@@ -278,8 +272,8 @@ func TestChaosInterruptedResumeManifest(t *testing.T) {
 		t.Errorf("resumed manifest differs from uninterrupted run (%d cells were checkpointed):\n--- clean ---\n%s\n--- resumed ---\n%s",
 			completed, d1, d2)
 	}
-	if jnl2.Len() <= completed && completed > 0 {
-		t.Errorf("resume did not checkpoint the remaining cells: %d -> %d", completed, jnl2.Len())
+	if c := st2.Counters(); c.Hits != completed || c.Entries <= completed {
+		t.Errorf("resume: hits=%d entries=%d, want hits=%d and the remaining cells stored", c.Hits, c.Entries, completed)
 	}
 }
 

@@ -2,149 +2,178 @@ package fabric
 
 import (
 	"bytes"
-	"encoding/json"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"falseshare/internal/experiments"
-	"falseshare/internal/obs"
 )
 
-func TestCacheRoundTrip(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Schema != experiments.CellSchema {
-		t.Fatalf("new cache schema = %q, want %q", c.Schema, experiments.CellSchema)
-	}
-	data := json.RawMessage(`{"miss_rate":0.25}`)
-	spans := []*obs.Span{{Name: "job:matrix/gen-001"}}
-	if _, _, ok := c.Get("matrix:fp1"); ok {
-		t.Fatal("hit on empty cache")
-	}
-	if err := c.Put("matrix:fp1", "matrix/gen-001", data, spans); err != nil {
-		t.Fatal(err)
-	}
-	got, gotSpans, ok := c.Get("matrix:fp1")
-	if !ok {
-		t.Fatal("miss after Put")
-	}
-	if !bytes.Equal(got, data) {
-		t.Errorf("data = %s, want %s", got, data)
-	}
-	if len(gotSpans) != 1 || gotSpans[0].Name != "job:matrix/gen-001" {
-		t.Errorf("spans did not round-trip: %+v", gotSpans)
-	}
-	// A different fingerprint stays a miss.
-	if _, _, ok := c.Get("matrix:fp2"); ok {
-		t.Error("hit for a fingerprint never stored")
-	}
+// The fabric's cell cache is the experiments cell store in the run
+// directory: workers commit every cell they compute there before
+// reporting it. These tests pin what a worker commit carries and how
+// a later run treats it.
+
+// fillStore runs the test grid through two workers committing into
+// dir and returns the distributed run's normalized manifest.
+func fillStore(t *testing.T, cfg experiments.Config, mopt experiments.MatrixOptions, set experiments.SectionSet, dir string) []byte {
+	t.Helper()
+	coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set, RunDir: dir})
+	defer coord.Close()
+	fcfg := cfg
+	fcfg.Runner = coord
+	fcfg.Store = openStore(t, dir)
+	return normManifest(t, "matrix", fcfg, func() (any, error) { return experiments.Matrix(fcfg, mopt) })
 }
 
-// TestCacheSchemaBumpForcesRecomputation is the satellite-6 contract:
-// the stage version string is part of every cache key, so bumping it
-// invalidates everything at once — no stale cells survive a format or
-// semantics change.
-func TestCacheSchemaBumpForcesRecomputation(t *testing.T) {
-	dir := t.TempDir()
-	v1, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v1.Put("matrix:fp1", "k", json.RawMessage(`1`), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := v1.Get("matrix:fp1"); !ok {
-		t.Fatal("v1 miss after Put")
-	}
-
-	v2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2.Schema = experiments.CellSchema + "-bumped"
-	if _, _, ok := v2.Get("matrix:fp1"); ok {
-		t.Fatal("bumped schema served a stale v1 entry")
-	}
-	// The bumped run recomputes and stores under the new key without
-	// disturbing the old one: both generations coexist.
-	if err := v2.Put("matrix:fp1", "k", json.RawMessage(`2`), nil); err != nil {
-		t.Fatal(err)
-	}
-	if d, _, ok := v1.Get("matrix:fp1"); !ok || !bytes.Equal(d, json.RawMessage(`1`)) {
-		t.Errorf("v1 entry disturbed by v2 Put: ok=%v data=%s", ok, d)
-	}
-	if d, _, ok := v2.Get("matrix:fp1"); !ok || !bytes.Equal(d, json.RawMessage(`2`)) {
-		t.Errorf("v2 entry wrong: ok=%v data=%s", ok, d)
-	}
+// sortedDiag returns the recorded attribution cells in key order.
+func sortedDiag(t *testing.T) []byte {
+	t.Helper()
+	cells := experiments.DiagCells()
+	sort.Slice(cells, func(i, j int) bool { return cells[i].Key < cells[j].Key })
+	return mustJSON(t, cells)
 }
 
-// TestCacheCorruptEntryIsMiss pins Get's failure posture: a torn or
-// tampered entry costs one recomputation, never an error.
-func TestCacheCorruptEntryIsMiss(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put("matrix:fp1", "k", json.RawMessage(`1`), nil); err != nil {
-		t.Fatal(err)
-	}
+// entryFiles lists the store's entry files.
+func entryFiles(t *testing.T, dir string) []string {
+	t.Helper()
 	var files []string
-	filepath.Walk(dir, func(p string, fi os.FileInfo, err error) error {
-		if err == nil && !fi.IsDir() {
+	filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && filepath.Ext(p) == ".json" {
 			files = append(files, p)
 		}
 		return nil
 	})
-	if len(files) != 1 {
-		t.Fatalf("expected 1 entry file, found %v", files)
+	return files
+}
+
+// TestCacheRoundTrip: a cell a worker committed carries its result,
+// its span subtree and its -diag events, so an in-process replay of
+// the whole grid reproduces the fresh run's manifest byte for byte and
+// re-records every attribution cell.
+func TestCacheRoundTrip(t *testing.T) {
+	cfg, mopt, set := testGrid()
+	cfg.Diag = true
+	keys := gridKeys(t, cfg, set)
+
+	experiments.ResetDiag()
+	defer experiments.ResetDiag()
+	local := normManifest(t, "matrix", cfg, func() (any, error) { return experiments.Matrix(cfg, mopt) })
+	wantDiag := sortedDiag(t)
+
+	dir := t.TempDir()
+	experiments.ResetDiag()
+	dist := fillStore(t, cfg, mopt, set, dir)
+	if !bytes.Equal(local, dist) {
+		t.Error("distributed manifest differs from local")
+	}
+
+	experiments.ResetDiag()
+	rcfg := cfg
+	rcfg.Store = openStore(t, dir)
+	replay := normManifest(t, "matrix", rcfg, func() (any, error) { return experiments.Matrix(rcfg, mopt) })
+	if c := rcfg.Store.Counters(); c.Hits != int64(len(keys)) || c.Misses != 0 {
+		t.Errorf("replay: hits=%d misses=%d, want %d/0", c.Hits, c.Misses, len(keys))
+	}
+	if !bytes.Equal(local, replay) {
+		d1, d2 := firstDiff(local, replay)
+		t.Errorf("replayed manifest differs from fresh:\n--- fresh ---\n%s\n--- replay ---\n%s", d1, d2)
+	}
+	if got := sortedDiag(t); !bytes.Equal(wantDiag, got) {
+		t.Error("replayed cells did not re-record their attribution cells")
+	}
+}
+
+// TestCacheSchemaBumpForcesRecomputation: the code identity is part of
+// every entry's address, so a run under a different identity (a
+// rebuilt executable) recomputes every cell — and stores its own
+// generation next to the old one instead of serving it.
+func TestCacheSchemaBumpForcesRecomputation(t *testing.T) {
+	cfg, mopt, set := testGrid()
+	keys := gridKeys(t, cfg, set)
+	dir := t.TempDir()
+	fillStore(t, cfg, mopt, set, dir)
+
+	bumped := openStore(t, dir)
+	bumped.Schema += "-rebuilt"
+	rcfg := cfg
+	rcfg.Store = bumped
+	if _, err := experiments.Matrix(rcfg, mopt); err != nil {
+		t.Fatal(err)
+	}
+	if c := bumped.Counters(); c.Hits != 0 || c.Misses != int64(len(keys)) {
+		t.Errorf("rebuilt-code run: hits=%d misses=%d, want 0/%d", c.Hits, c.Misses, len(keys))
+	}
+	if n := len(entryFiles(t, dir)); n != 2*len(keys) {
+		t.Errorf("store holds %d entries, want %d (both generations)", n, 2*len(keys))
+	}
+}
+
+// TestCacheCorruptEntryIsMiss pins the failure posture: a torn entry
+// is dropped when the store opens, counted, and costs exactly one
+// recomputation — never an error, never a wrong cell.
+func TestCacheCorruptEntryIsMiss(t *testing.T) {
+	cfg, mopt, set := testGrid()
+	keys := gridKeys(t, cfg, set)
+	want, err := experiments.Matrix(cfg, mopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fillStore(t, cfg, mopt, set, dir)
+	files := entryFiles(t, dir)
+	if len(files) != len(keys) {
+		t.Fatalf("store holds %d entries, want %d", len(files), len(keys))
 	}
 	if err := os.WriteFile(files[0], []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Get("matrix:fp1"); ok {
-		t.Error("corrupt entry served as a hit")
-	}
-	// The corruption is dropped from disk and visible in counters,
-	// not silently re-read forever.
-	if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
-		t.Error("corrupt entry not dropped from disk")
-	}
-	if n := c.Counters().CorruptDropped; n != 1 {
-		t.Errorf("CorruptDropped = %d, want 1", n)
-	}
-	// An entry whose recorded fingerprint disagrees with its address
-	// (collision, manual tampering) is also a miss.
-	b, _ := json.Marshal(map[string]any{"schema": c.Schema, "key": "matrix:other", "data": json.RawMessage(`1`)})
-	if err := os.WriteFile(files[0], b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := c.Get("matrix:fp1"); ok {
-		t.Error("entry with mismatched fingerprint served as a hit")
-	}
-}
 
-func TestCacheNilAndEmptyFingerprint(t *testing.T) {
-	var c *Cache
-	if _, _, ok := c.Get("fp"); ok {
-		t.Error("nil cache hit")
-	}
-	if err := c.Put("fp", "k", nil, nil); err != nil {
-		t.Errorf("nil cache Put: %v", err)
-	}
-	real, err := OpenCache(t.TempDir())
+	rcfg := cfg
+	rcfg.Store = openStore(t, dir)
+	got, err := experiments.Matrix(rcfg, mopt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unfingerprinted cells (compilecost: timing must not be cached)
-	// never enter the cache.
-	if err := real.Put("", "k", json.RawMessage(`1`), nil); err != nil {
-		t.Errorf("empty-fingerprint Put: %v", err)
+	c := rcfg.Store.Counters()
+	if c.CorruptDropped != 1 || c.Misses != 1 || c.Hits != int64(len(keys)-1) {
+		t.Errorf("after one torn entry: corrupt=%d misses=%d hits=%d, want 1/1/%d", c.CorruptDropped, c.Misses, c.Hits, len(keys)-1)
 	}
-	if _, _, ok := real.Get(""); ok {
-		t.Error("empty-fingerprint Get hit")
+	if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+		t.Error("results with a torn entry differ from a fresh run")
+	}
+}
+
+// TestCacheNilAndEmptyFingerprint: cells without a fingerprint
+// (compilecost measures wall time) never enter the store, even when
+// workers run them with a store open; and a worker given no run
+// directory opens no store at all.
+func TestCacheNilAndEmptyFingerprint(t *testing.T) {
+	cfg := experiments.DefaultConfig()
+	set := experiments.SectionSet{Sections: []string{"compilecost"}, CompileProcs: 2, CompileReps: 1}
+	for _, withStore := range []bool{true, false} {
+		dir := filepath.Join(t.TempDir(), "store")
+		opt := Options{Workers: 2, Spec: cfg.Spec(), Set: set}
+		if withStore {
+			opt.RunDir = dir
+		}
+		coord := startCoordinator(t, opt)
+		fcfg := cfg
+		fcfg.Runner = coord
+		if withStore {
+			fcfg.Store = openStore(t, dir)
+		}
+		if _, err := experiments.CompileCost(fcfg, 2, 1); err != nil {
+			t.Fatal(err)
+		}
+		coord.Close()
+		if n := len(entryFiles(t, dir)); n != 0 {
+			t.Errorf("store=%v: %d compilecost entries stored, want 0", withStore, n)
+		}
+		if _, err := os.Stat(dir); !withStore && !os.IsNotExist(err) {
+			t.Errorf("worker without a run directory created a store (%v)", err)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"falseshare/internal/artifact"
 	"falseshare/internal/experiments"
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/faultinject"
@@ -35,13 +36,10 @@ type Options struct {
 	// Faults is the fault spec propagated to every worker (satellite:
 	// a -faults spec must not silently apply only to the parent).
 	Faults string
-	// RunDir, when non-empty, is the shared run directory: workers
-	// journal completions into journal-worker-<id>.jsonl there, and
-	// Close merges them into the main journal.
+	// RunDir, when non-empty, is the cell store directory (fsexp
+	// -resume): workers commit every cell they compute there before
+	// reporting it.
 	RunDir string
-	// Cache, when non-nil, dedups cells through the content-addressed
-	// store: hits skip dispatch entirely, successes are stored.
-	Cache *Cache
 	// Policy supplies the pool's failure semantics: Retries/Backoff
 	// bound error retries (transient errors only, exponential
 	// backoff), FailFast cancels the grid on the first hard failure,
@@ -62,7 +60,7 @@ type Options struct {
 	// Stderr receives spawned workers' stderr (default os.Stderr).
 	Stderr io.Writer
 	// Recorder receives the fabric's own telemetry spans — worker
-	// lifetimes, reassignments, retries, cache hit rates. It is
+	// lifetimes, reassignments, retries. It is
 	// deliberately separate from the experiment recorder: fabric
 	// scheduling is nondeterministic, and folding it into the figure
 	// manifests would break their byte-identity contract.
@@ -112,30 +110,21 @@ type Stats struct {
 	Spawned  int
 	Attached int
 	Deaths   int
-	// Cells counts dispatched cell executions (not cache/journal
-	// hits); Reassigned counts cells re-queued after losing their
-	// worker; Retries counts error-retries.
+	// Cells counts dispatched cell executions (cell-store hits never
+	// reach the coordinator); Reassigned counts cells re-queued after
+	// losing their worker; Retries counts error-retries.
 	Cells      int
 	Reassigned int
 	Retries    int
-	// CacheHits/CacheMisses count content-cache lookups for
-	// fingerprinted cells.
-	CacheHits   int
-	CacheMisses int
-	// CacheCorrupt counts torn or corrupt cache entries dropped (at
-	// the open-time recovery scan or on read) and CacheEvicted counts
-	// LRU evictions under the byte budget — previously both were
-	// silently folded into misses.
-	CacheCorrupt int
-	CacheEvicted int
 }
 
-// Summary renders the one-line run summary fsexp prints.
-func (s Stats) Summary() string {
+// Summary renders the one-line run summary fsexp prints; store holds
+// the run's cell-store counters (zero without -resume).
+func (s Stats) Summary(store artifact.Counters) string {
 	return fmt.Sprintf(
-		"fabric: workers spawned=%d attached=%d deaths=%d | cells=%d reassigned=%d retries=%d | cache hits=%d misses=%d corrupt=%d evicted=%d",
+		"fabric: workers spawned=%d attached=%d deaths=%d | cells=%d reassigned=%d retries=%d | cache hits=%d misses=%d corrupt=%d",
 		s.Spawned, s.Attached, s.Deaths, s.Cells, s.Reassigned, s.Retries,
-		s.CacheHits, s.CacheMisses, s.CacheCorrupt, s.CacheEvicted)
+		store.Hits, store.Misses, store.CorruptDropped)
 }
 
 // Coordinator shards cells across worker processes. It implements
@@ -247,7 +236,7 @@ func NewCoordinator(opt Options) *Coordinator {
 
 // Start spawns the local workers and, if configured, starts the TCP
 // listener. ctx bounds the coordinator's lifetime; cancelling it
-// aborts dispatch (Close still reaps and merges).
+// aborts dispatch (Close still reaps the workers).
 func (c *Coordinator) Start(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -288,17 +277,11 @@ func (c *Coordinator) Addr() string {
 	return c.listener.Addr().String()
 }
 
-// Stats returns a snapshot of the fabric counters, folding in the
-// content cache's own accounting (corrupt entries dropped, LRU
-// evictions) so the manifest and summary line expose them.
+// Stats returns a snapshot of the fabric counters.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
-	st := c.stats
-	c.mu.Unlock()
-	cc := c.opt.Cache.Counters()
-	st.CacheCorrupt = int(cc.CorruptDropped)
-	st.CacheEvicted = int(cc.Evictions)
-	return st
+	defer c.mu.Unlock()
+	return c.stats
 }
 
 // Pids lists the live spawned worker process ids (TCP workers have
@@ -550,7 +533,7 @@ func (c *Coordinator) assign(w *workerHandle, run *cellRun, idx int) bool {
 	c.stats.Cells++
 	c.mu.Unlock()
 
-	if err := w.conn.Write(&Frame{Type: TypeAssign, Key: req.Key, Fingerprint: req.Fingerprint}); err != nil {
+	if err := w.conn.Write(&Frame{Type: TypeAssign, Key: req.Key}); err != nil {
 		c.requeueDeath(run, idx, w, fmt.Errorf("fabric: worker %d: assign: %w", w.id, err))
 		return false
 	}
@@ -597,7 +580,7 @@ func (c *Coordinator) assign(w *workerHandle, run *cellRun, idx int) bool {
 }
 
 // complete records one cell's reported outcome: success stores into
-// the run (and the cache); a transient error within the retry budget
+// the run; a transient error within the retry budget
 // requeues with exponential backoff; anything else is final.
 func (c *Coordinator) complete(run *cellRun, idx int, f *Frame) {
 	err := frameError(f)
@@ -637,11 +620,6 @@ func (c *Coordinator) complete(run *cellRun, idx int, f *Frame) {
 		res.Events = *f.Events
 	}
 	c.finalize(run, idx, res)
-	if c.opt.Cache != nil && run.reqs[idx].Fingerprint != "" {
-		if cerr := c.opt.Cache.Put(run.reqs[idx].Fingerprint, res.Key, f.Data, f.Spans); cerr != nil {
-			obs.Logf("%v", cerr)
-		}
-	}
 }
 
 // finalize records a cell's final outcome. Callers hold c.mu.
@@ -776,9 +754,9 @@ func (c *Coordinator) workerGone(w *workerHandle) {
 	}
 }
 
-// RunCells implements experiments.CellRunner: resolve cache hits,
-// queue the rest, and wait until every cell has a final outcome (or
-// the context dies, which marks the leftovers skipped).
+// RunCells implements experiments.CellRunner: queue the cells and
+// wait until every one has a final outcome (or the context dies,
+// which marks the leftovers skipped).
 func (c *Coordinator) RunCells(ctx context.Context, section string, reqs []experiments.CellRequest) ([]experiments.CellResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -790,30 +768,10 @@ func (c *Coordinator) RunCells(ctx context.Context, section string, reqs []exper
 		results: make([]experiments.CellResult, len(reqs)),
 		ctx:     ctx,
 	}
-	// Content-cache pass: hits never touch a worker.
-	for i, req := range reqs {
-		if c.opt.Cache != nil && req.Fingerprint != "" {
-			if data, spans, ok := c.opt.Cache.Get(req.Fingerprint); ok {
-				run.state[i].final = true
-				run.results[i] = experiments.CellResult{Key: req.Key, Data: data, Spans: spans}
-				c.mu.Lock()
-				c.stats.CacheHits++
-				c.mu.Unlock()
-				if c.span != nil {
-					c.span.Count("cache_hits", 1)
-				}
-				continue
-			}
-			c.mu.Lock()
-			c.stats.CacheMisses++
-			c.mu.Unlock()
-			if c.span != nil {
-				c.span.Count("cache_misses", 1)
-			}
-		}
+	for i := range reqs {
 		run.queue = append(run.queue, i)
-		run.pending++
 	}
+	run.pending = len(reqs)
 
 	c.mu.Lock()
 	if c.closed {
@@ -881,14 +839,13 @@ func (c *Coordinator) RunCells(ctx context.Context, section string, reqs []exper
 }
 
 // Close shuts the fabric down: shutdown frames to every worker, a
-// bounded wait for them to flush their journals and exit, SIGKILL for
-// stragglers, then the per-worker journal merge into the main journal
-// (when RunDir is set). Safe to call more than once.
-func (c *Coordinator) Close() error {
+// bounded wait for them to finish their cell and exit, then SIGKILL
+// for stragglers. Safe to call more than once.
+func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil
+		return
 	}
 	c.closed = true
 	if c.run != nil {
@@ -923,14 +880,9 @@ func (c *Coordinator) Close() error {
 		c.stop()
 	}
 	c.wg.Wait()
-	var err error
-	if c.opt.RunDir != "" {
-		err = MergeWorkerJournals(c.opt.RunDir)
-	}
 	if c.span != nil {
 		c.span.End()
 	}
-	return err
 }
 
 // Kill is the emergency stop (second SIGINT): SIGKILL every spawned

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"falseshare/internal/experiments"
-	"falseshare/internal/experiments/journal"
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
@@ -76,6 +75,15 @@ func startCoordinator(t *testing.T, opt Options) *Coordinator {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+func openStore(t *testing.T, dir string) *experiments.Store {
+	t.Helper()
+	st, err := experiments.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -177,17 +185,16 @@ func TestFabricManifestByteIdentity(t *testing.T) {
 		if st.Deaths != 0 || st.Reassigned != 0 {
 			t.Errorf("-workers %d: clean run recorded deaths=%d reassigned=%d", workers, st.Deaths, st.Reassigned)
 		}
-		if err := coord.Close(); err != nil {
-			t.Errorf("-workers %d: close: %v", workers, err)
-		}
+		coord.Close()
 	}
 }
 
 // TestFabricWorkerKillResume kills one worker mid-cell (the coord.kill
 // chaos point: deterministic, fires once) and requires the run to
 // complete via reassignment with results identical to an undisturbed
-// local run; then a -resume style replay of the merged journal must
-// reproduce them again without recomputing anything.
+// local run; then a -resume style replay of the cell store the
+// workers committed into must reproduce them again without
+// recomputing anything.
 func TestFabricWorkerKillResume(t *testing.T) {
 	cfg, mopt, set := testGrid()
 	keys := gridKeys(t, cfg, set)
@@ -206,14 +213,10 @@ func TestFabricWorkerKillResume(t *testing.T) {
 	defer faultinject.Disable()
 
 	runDir := t.TempDir()
-	jnl, err := journal.Open(runDir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set, RunDir: runDir})
 	fcfg := cfg
 	fcfg.Runner = coord
-	fcfg.Journal = jnl
+	fcfg.Store = openStore(t, runDir)
 	got, err := experiments.Matrix(fcfg, mopt)
 	if err != nil {
 		var me *pool.MultiError
@@ -224,10 +227,7 @@ func TestFabricWorkerKillResume(t *testing.T) {
 		}
 		t.Fatalf("run with worker kill failed: %v", err)
 	}
-	jnl.Close()
-	if err := coord.Close(); err != nil {
-		t.Fatal(err)
-	}
+	coord.Close()
 	faultinject.Disable()
 
 	st := coord.Stats()
@@ -244,22 +244,17 @@ func TestFabricWorkerKillResume(t *testing.T) {
 		t.Error("results after worker kill differ from undisturbed run")
 	}
 
-	// Resume round trip: the journal now holds every cell; a local
-	// replay must serve all of them without touching a worker.
-	jnl2, err := journal.Open(runDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jnl2.Close()
-	if jnl2.Len() < len(keys) {
-		t.Errorf("journal has %d cells, want >= %d", jnl2.Len(), len(keys))
-	}
+	// Resume round trip: the workers committed every cell; a local
+	// replay must serve all of them without computing any.
 	rcfg := cfg
 	rcfg.Workers = 1
-	rcfg.Journal = jnl2
+	rcfg.Store = openStore(t, runDir)
 	resumed, err := experiments.Matrix(rcfg, mopt)
 	if err != nil {
 		t.Fatalf("resume replay: %v", err)
+	}
+	if c := rcfg.Store.Counters(); c.Hits != int64(len(keys)) || c.Misses != 0 {
+		t.Errorf("resume replay: hits=%d misses=%d, want %d/0", c.Hits, c.Misses, len(keys))
 	}
 	if !bytes.Equal(mustJSON(t, resumed), mustJSON(t, want)) {
 		t.Error("resumed results differ from original run")
@@ -489,20 +484,22 @@ func TestFabricTransientRetry(t *testing.T) {
 	}
 }
 
-// TestFabricCacheDedup is the content-cache acceptance: a second run
-// over the same grid serves every cell from the cache (>= 90%
-// required; 100% expected), with identical results — and a schema
-// bump (satellite 6) forces full recomputation.
+// TestFabricCacheDedup is the cell-store acceptance across the
+// fabric: a second run over the same grid and store directory serves
+// every cell from the store (>= 90% required; 100% expected) without
+// dispatching any, with identical results — and a code-identity change
+// forces full recomputation.
 func TestFabricCacheDedup(t *testing.T) {
 	cfg, mopt, set := testGrid()
 	keys := gridKeys(t, cfg, set)
 	dir := t.TempDir()
 
-	runWith := func(cc *Cache) ([]experiments.MatrixCell, Stats) {
+	runWith := func(st *experiments.Store) ([]experiments.MatrixCell, Stats) {
 		t.Helper()
-		coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set, Cache: cc})
+		coord := startCoordinator(t, Options{Workers: 2, Spec: cfg.Spec(), Set: set, RunDir: dir})
 		fcfg := cfg
 		fcfg.Runner = coord
+		fcfg.Store = st
 		cells, err := experiments.Matrix(fcfg, mopt)
 		if err != nil {
 			t.Fatal(err)
@@ -511,40 +508,37 @@ func TestFabricCacheDedup(t *testing.T) {
 		return cells, coord.Stats()
 	}
 
-	c1, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
+	s1 := openStore(t, dir)
+	first, st1 := runWith(s1)
+	if c := s1.Counters(); c.Misses != int64(len(keys)) || c.Hits != 0 {
+		t.Errorf("cold run: hits=%d misses=%d, want 0/%d", c.Hits, c.Misses, len(keys))
 	}
-	first, st1 := runWith(c1)
-	if st1.CacheMisses != len(keys) || st1.CacheHits != 0 {
-		t.Errorf("cold run: hits=%d misses=%d, want 0/%d", st1.CacheHits, st1.CacheMisses, len(keys))
+	if st1.Cells != len(keys) {
+		t.Errorf("cold run dispatched %d cells, want %d", st1.Cells, len(keys))
 	}
 
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, st2 := runWith(c2)
-	if st2.CacheHits != len(keys) || st2.CacheMisses != 0 {
-		t.Errorf("warm run: hits=%d misses=%d, want %d/0", st2.CacheHits, st2.CacheMisses, len(keys))
+	s2 := openStore(t, dir)
+	second, st2 := runWith(s2)
+	if c := s2.Counters(); c.Hits != int64(len(keys)) || c.Misses != 0 {
+		t.Errorf("warm run: hits=%d misses=%d, want %d/0", c.Hits, c.Misses, len(keys))
 	}
 	if st2.Cells != 0 {
 		t.Errorf("warm run dispatched %d cells, want 0", st2.Cells)
 	}
 	if !bytes.Equal(mustJSON(t, first), mustJSON(t, second)) {
-		t.Error("cache-served results differ from computed ones")
+		t.Error("store-served results differ from computed ones")
 	}
 
-	// Satellite 6: bumping the stage version string in the key must
-	// miss every entry and recompute.
-	c3, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
+	// A different code identity (a rebuilt executable) must miss every
+	// entry and dispatch every cell again.
+	s3 := openStore(t, dir)
+	s3.Schema += "-rebuilt"
+	third, st3 := runWith(s3)
+	if c := s3.Counters(); c.Hits != 0 || c.Misses != int64(len(keys)) {
+		t.Errorf("rebuilt-code run: hits=%d misses=%d, want 0/%d", c.Hits, c.Misses, len(keys))
 	}
-	c3.Schema = experiments.CellSchema + "-bumped"
-	third, st3 := runWith(c3)
-	if st3.CacheHits != 0 || st3.CacheMisses != len(keys) {
-		t.Errorf("bumped-schema run: hits=%d misses=%d, want 0/%d", st3.CacheHits, st3.CacheMisses, len(keys))
+	if st3.Cells != len(keys) {
+		t.Errorf("rebuilt-code run dispatched %d cells, want %d", st3.Cells, len(keys))
 	}
 	if !bytes.Equal(mustJSON(t, first), mustJSON(t, third)) {
 		t.Error("recomputed results differ")
@@ -579,9 +573,7 @@ func TestFabricTCPWorker(t *testing.T) {
 	if st.Attached != 1 || st.Spawned != 0 {
 		t.Errorf("attached=%d spawned=%d, want 1/0", st.Attached, st.Spawned)
 	}
-	if err := coord.Close(); err != nil {
-		t.Fatal(err)
-	}
+	coord.Close()
 	select {
 	case err := <-workerErr:
 		if err != nil {
@@ -645,9 +637,7 @@ func TestFabricTCPWorkerRetriesUntilCoordinatorUp(t *testing.T) {
 	if st := coord.Stats(); st.Attached != 1 {
 		t.Errorf("attached=%d, want 1", st.Attached)
 	}
-	if err := coord.Close(); err != nil {
-		t.Fatal(err)
-	}
+	coord.Close()
 	select {
 	case err := <-workerErr:
 		if err != nil {

@@ -2,8 +2,8 @@
 // coordinator shards a run's (program × version × procs × block ×
 // protocol × topology) grid across workers it spawns locally (fsexp
 // -worker over stdio) or that attach over TCP, and folds the results
-// back into the same journals, span trees and manifests a
-// single-process run produces — byte-identical modulo timing.
+// back into the same span trees and manifests a single-process run
+// produces — byte-identical modulo timing.
 //
 // Robustness is the headline contract, because at fleet scale
 // something is always failing:
@@ -14,12 +14,11 @@
 //     bounded per cell so a poison cell cannot eat the fleet;
 //   - transient cell errors retry with exponential backoff under the
 //     same pool.Policy semantics as a local run;
-//   - results dedup through a content-addressed cache keyed by
-//     (schema version, cell fingerprint), so re-runs and overlapping
-//     shards hit the cache instead of recomputing;
-//   - every worker journals its completions before reporting them, so
-//     a worker's death never loses finished work: the per-worker
-//     journals merge into the main resume journal.
+//   - with a run directory (fsexp -resume), every worker commits each
+//     cell it computes to the experiments cell store there before
+//     reporting it, so a worker's death never loses finished work, and
+//     the coordinator serves stored cells without dispatching them:
+//     re-runs and resumed runs skip every cell already computed.
 //
 // The wire protocol is deliberately minimal: 4-byte big-endian
 // length-prefixed JSON frames over any byte stream. Workers re-derive
@@ -74,8 +73,7 @@ type Frame struct {
 	Worker int                     `json:"worker,omitempty"`
 
 	// assign + result
-	Key         string `json:"key,omitempty"`
-	Fingerprint string `json:"fingerprint,omitempty"`
+	Key string `json:"key,omitempty"`
 
 	// result
 	Data      json.RawMessage         `json:"data,omitempty"`

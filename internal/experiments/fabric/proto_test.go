@@ -24,7 +24,7 @@ func TestConnRoundTrip(t *testing.T) {
 	frames := []*Frame{
 		{Type: TypeHello, Spec: &experiments.ConfigSpec{Scale: 3}, Set: &experiments.SectionSet{Sections: []string{"matrix"}}, Faults: "pool.worker:error", RunDir: "/tmp/run", Worker: 7},
 		{Type: TypeReady, Cells: 42},
-		{Type: TypeAssign, Key: "matrix/gen-001/mesi/flat", Fingerprint: "matrix:abc"},
+		{Type: TypeAssign, Key: "matrix/gen-001/mesi/flat"},
 		{Type: TypeResult, Key: "matrix/gen-001/mesi/flat", Data: json.RawMessage(`{"x":1}`), Spans: []*obs.Span{{Name: "job"}}},
 		{Type: TypeResult, Key: "k", Err: "boom", Retryable: true},
 		{Type: TypePing},

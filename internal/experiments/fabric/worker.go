@@ -10,16 +10,9 @@ import (
 	"time"
 
 	"falseshare/internal/experiments"
-	"falseshare/internal/experiments/journal"
 	"falseshare/internal/faultinject"
 	"falseshare/internal/obs"
 )
-
-// WorkerJournalFile names a worker's private journal inside the
-// shared run directory.
-func WorkerJournalFile(id int) string {
-	return fmt.Sprintf("journal-worker-%d.jsonl", id)
-}
 
 // RunWorker speaks the worker side of the protocol over an arbitrary
 // byte stream (stdin/stdout in spawn mode, a TCP connection in
@@ -28,10 +21,12 @@ func WorkerJournalFile(id int) string {
 // coordinator died sees stdin EOF and exits; no orphans).
 //
 // The worker enumerates the full cell grid from the hello frame's
-// spec before accepting assignments, runs one cell at a time, and
-// journals every successful cell into its own journal file before
-// reporting it — so even if the report (or the worker) dies, the
-// finished work survives and merges into the main journal.
+// spec before accepting assignments and runs one cell at a time. With
+// a run directory in the hello frame, every cell goes through the
+// cell store there: a cell already stored (say, by a worker that died
+// before reporting it) is replayed, and a computed cell is committed
+// before it is reported — so even if the report (or the worker) dies,
+// the finished work survives for the next -resume.
 func RunWorker(in io.Reader, out io.Writer) error {
 	conn := NewConn(in, out)
 	hello, err := conn.Read()
@@ -48,19 +43,18 @@ func RunWorker(in io.Reader, out io.Writer) error {
 		}
 		faultinject.Enable(set)
 	}
-	enum, err := experiments.Collect(hello.Spec.Config(), *hello.Set)
+	cfg := hello.Spec.Config()
+	if hello.RunDir != "" {
+		cfg.Store, err = experiments.OpenStore(hello.RunDir)
+		if err != nil {
+			// A worker without a store still works; it just cannot
+			// preserve completions across its own death.
+			obs.Logf("fabric: worker %d: no cell store: %v", hello.Worker, err)
+		}
+	}
+	enum, err := experiments.Collect(cfg, *hello.Set)
 	if err != nil {
 		return fmt.Errorf("fabric: worker: %w", err)
-	}
-	var jnl *journal.Journal
-	if hello.RunDir != "" {
-		jnl, err = journal.OpenFile(hello.RunDir, WorkerJournalFile(hello.Worker))
-		if err != nil {
-			// A worker without a journal still works; it just cannot
-			// preserve completions across its own death.
-			obs.Logf("fabric: worker %d: no journal: %v", hello.Worker, err)
-			jnl = nil
-		}
 	}
 	if err := conn.Write(&Frame{Type: TypeReady, Cells: enum.Len()}); err != nil {
 		return err
@@ -78,11 +72,10 @@ func RunWorker(in io.Reader, out io.Writer) error {
 	go func() {
 		defer close(runnerDone)
 		for a := range assigns {
-			runCell(ctx, conn, enum, jnl, a)
+			runCell(ctx, conn, enum, a)
 		}
 	}()
 
-	defer jnl.Close()
 	for {
 		f, err := conn.Read()
 		if err != nil {
@@ -192,8 +185,8 @@ func RunWorkerTCP(addr string) error {
 // hang simulate crashes and wedges mid-cell), worker.send fires
 // before the report (corrupt mangles the result frame so the
 // coordinator must treat this worker as failed).
-func runCell(ctx context.Context, conn *Conn, enum *experiments.Enumeration, jnl *journal.Journal, a *Frame) {
-	res := &Frame{Type: TypeResult, Key: a.Key, Fingerprint: a.Fingerprint}
+func runCell(ctx context.Context, conn *Conn, enum *experiments.Enumeration, a *Frame) {
+	res := &Frame{Type: TypeResult, Key: a.Key}
 	if ferr := faultinject.Fire(ctx, "worker.cell", a.Key); ferr != nil {
 		res.Err = ferr.Error()
 		res.Retryable = isTransient(ferr)
@@ -214,13 +207,8 @@ func runCell(ctx context.Context, conn *Conn, enum *experiments.Enumeration, jnl
 	default:
 		res.Data = data
 		res.Spans = spans
-		if ev := experiments.EventsSince(mark); !ev.Empty() {
+		if ev := experiments.EventsSince(mark, a.Key); !ev.Empty() {
 			res.Events = &ev
-		}
-		if jnl != nil {
-			if aerr := jnl.Append(a.Key, data, spans); aerr != nil {
-				obs.Logf("fabric: %v", aerr)
-			}
 		}
 	}
 	if ferr := faultinject.Fire(ctx, "worker.send", a.Key); ferr != nil && faultinject.IsCorrupt(ferr) {

@@ -59,7 +59,7 @@ func Figure3(cfg Config) ([]Fig3Cell, error) {
 						"prog="+b.Name, "ver="+string(ver),
 						fmt.Sprintf("procs=%d", procs), fmt.Sprintf("blk=%d", blk),
 						fmt.Sprintf("scale=%d", cfg.Scale), fmt.Sprintf("budget=%d", cfg.StepBudget),
-						fmt.Sprintf("verify=%v", cfg.Verify),
+						fmt.Sprintf("verify=%v", cfg.Verify), fmt.Sprintf("diag=%v", cfg.Diag),
 						"src="+srcHash(b.Source(cfg.Scale))),
 					Run: func(ctx context.Context) (Fig3Cell, error) {
 						prog, err := cfg.buildProgram(ctx, key, b, ver, procs, blk, transform.Config{})

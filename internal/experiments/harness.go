@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"falseshare/internal/core"
-	"falseshare/internal/experiments/journal"
 	"falseshare/internal/experiments/pool"
 	"falseshare/internal/obs"
 	"falseshare/internal/sim/cache"
@@ -65,9 +64,9 @@ type Config struct {
 	// vs keep-going, per-job deadlines, retries. The zero value runs
 	// every job with no deadline (the historical behavior).
 	Policy pool.Policy
-	// Journal, when non-nil, checkpoints every completed cell and
-	// resumes from checkpoints already present (fsexp -resume).
-	Journal *journal.Journal
+	// Store, when non-nil, checkpoints every completed fingerprinted
+	// cell and replays cells already stored (fsexp -resume).
+	Store *Store
 	// StepBudget caps per-process VM instructions per execution
 	// (0: the VM default of 1e9), so runaway programs fail instead of
 	// hanging a job forever.
@@ -76,18 +75,16 @@ type Config struct {
 	// each C program is translation-validated against its original,
 	// and objects that fail validation (or whose transformation fails
 	// to apply) are degraded to the identity layout and recorded — see
-	// DegradedEvents. Cells replayed from the journal skip compilation
-	// and therefore record no events.
+	// DegradedEvents.
 	Verify bool
 	// Diag enables miss attribution for the Figure 3 and Table 2
 	// cells: each measured simulation carries an attr.Collector, and
 	// the per-object reports are recorded against the cell key — see
-	// DiagCells and RenderDiag. Like Verify, cells replayed from the
-	// journal skip measurement and record nothing.
+	// DiagCells and RenderDiag.
 	Diag bool
 	// Runner, when non-nil, executes cells in other processes: every
 	// driver fan-out is dispatched through it instead of the local
-	// pool (journal hits still resolve locally first). The distributed
+	// pool (store hits still resolve locally first). The distributed
 	// fabric's coordinator implements it; see CellRunner.
 	Runner CellRunner
 
@@ -143,16 +140,17 @@ func ProgramCtx(ctx context.Context, b *workload.Benchmark, ver Version, nprocs 
 }
 
 // runJobs routes every experiment's fan-out through the configured
-// context, failure policy and journal: jobs already checkpointed in
-// cfg.Journal return their stored results without running, fresh
-// completions are checkpointed as they finish.
+// context, failure policy and cell store: jobs already stored in
+// cfg.Store return their stored results without running, fresh
+// completions are committed as they finish (see storeJobs).
 //
 // Two alternate modes branch here, both invisible to the drivers:
-// with cfg.enum set (Collect) the jobs are captured, not run, and the
-// driver sees zero-valued results behind an errCollected sentinel;
-// with cfg.Runner set the cells execute in other processes and the
-// results, spans and journal checkpoints are reassembled locally.
+// with cfg.enum set (Collect) the store-wrapped jobs are captured, not
+// run, and the driver sees zero-valued results behind an errCollected
+// sentinel; with cfg.Runner set the cells execute in other processes
+// and the results and spans are reassembled locally.
 func runJobs[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) {
+	jobs = storeJobs(cfg.Store, jobs)
 	if cfg.enum != nil {
 		collectJobs(cfg.enum, jobs)
 		return make([]T, len(jobs)), errCollected
@@ -160,7 +158,7 @@ func runJobs[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) {
 	if cfg.Runner != nil {
 		return runRemote(cfg, name, jobs)
 	}
-	return pool.RunPolicy(cfg.Ctx, name, cfg.Workers, cfg.Policy, journal.WrapAll(cfg.Journal, jobs))
+	return pool.RunPolicy(cfg.Ctx, name, cfg.Workers, cfg.Policy, jobs)
 }
 
 // Baseline returns the version speedups are measured against: N when

@@ -44,9 +44,10 @@ type Job[T any] struct {
 	Run func(ctx context.Context) (T, error)
 	// Fingerprint, when non-empty, is a content hash of everything the
 	// job's result depends on (program source, cell configuration,
-	// stage version). The pool itself ignores it; the distributed
-	// fabric uses it to key its content-addressed result cache, so two
-	// cells with the same fingerprint never compute twice.
+	// -verify/-diag). The pool itself ignores it; the experiments cell
+	// store keys checkpointed results by it, so a resumed run reuses a
+	// cell only when it is the cell this run would compute. Jobs
+	// without one are never stored.
 	Fingerprint string
 }
 

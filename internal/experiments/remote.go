@@ -11,13 +11,12 @@
 //     keyed by the job's pool key. A worker process, handed the same
 //     ConfigSpec and SectionSet as the coordinator, reconstructs the
 //     identical grid and can therefore execute any cell by key alone.
-//   - CellRunner is the coordinator side: runJobs hands the keys (and
-//     content fingerprints) of the cells it needs to cfg.Runner and
-//     folds the returned (JSON result, span subtree) pairs back into
-//     results, journal checkpoints, and the same "pool:<name>" /
-//     "job:<key>" span tree a local run records — so a distributed
-//     run's manifest is byte-identical to a single-process one,
-//     modulo timing.
+//   - CellRunner is the coordinator side: runJobs hands the keys of
+//     the cells it needs to cfg.Runner and folds the returned (JSON
+//     result, span subtree) pairs back into results and the same
+//     "pool:<name>" / "job:<key>" span tree a local run records — so
+//     a distributed run's manifest is byte-identical to a
+//     single-process one, modulo timing.
 //   - CellEvents carries the per-cell side records (safe-mode
 //     degradations, miss-attribution reports) across the process
 //     boundary: workers capture what a cell recorded, the coordinator
@@ -40,16 +39,9 @@ import (
 	"falseshare/internal/workload"
 )
 
-// CellSchema versions the distributed cell result format. It is part
-// of every content-cache key (alongside the cell fingerprint), so
-// bumping it — on any change to what cells compute or how results are
-// encoded — invalidates every cached cell at once instead of serving
-// stale results. The falseshare/bench schema idiom (see BenchSchema).
-const CellSchema = "falseshare/cell/v1"
-
 // ConfigSpec is the JSON-serializable subset of Config a worker needs
 // to rebuild the coordinator's exact job grid. Runtime-only fields
-// (context, policy callbacks, journal handle, runner) deliberately
+// (context, policy callbacks, store handle, runner) deliberately
 // have no place here: workers run cells, they do not make policy.
 type ConfigSpec struct {
 	Scale           int     `json:"scale"`
@@ -133,17 +125,15 @@ func (s SectionSet) compileReps() int {
 }
 
 // CellRequest asks a CellRunner for one cell by its deterministic
-// pool key. Fingerprint, when non-empty, keys the content-addressed
-// result cache (see pool.Job.Fingerprint).
+// pool key.
 type CellRequest struct {
-	Key         string `json:"key"`
-	Fingerprint string `json:"fingerprint,omitempty"`
+	Key string `json:"key"`
 }
 
-// CellResult is one executed (or cache-served) cell: the result JSON,
-// the observability span subtree the execution recorded — exactly
-// what the resume journal stores — and the cell's side events. Err is
-// non-nil when the cell failed; Data and Events are then empty.
+// CellResult is one executed cell: the result JSON, the observability
+// span subtree the execution recorded — exactly what the cell store
+// keeps — and the cell's side events. Err is non-nil when the cell
+// failed; Data and Events are then empty.
 type CellResult struct {
 	Key    string
 	Data   json.RawMessage
@@ -214,12 +204,14 @@ func (e *Enumeration) add(key string, fn CellFunc) {
 // cfg, without executing any of them. The drivers run their normal
 // enumeration code — same loops, same keys, same order — but each
 // pool job is captured instead of executed, so a worker process
-// reconstructs exactly the grid its coordinator dispatches from.
+// reconstructs exactly the grid its coordinator dispatches from. With
+// cfg.Store set, the captured cells go through the store like
+// runJobs' local cells: a fabric worker looks every assigned cell up
+// first and commits it before reporting it.
 func Collect(cfg Config, set SectionSet) (*Enumeration, error) {
 	e := &Enumeration{cells: map[string]CellFunc{}}
 	cfg.enum = e
 	cfg.Runner = nil
-	cfg.Journal = nil
 	cfg.Ctx = nil
 	for _, s := range set.Sections {
 		var err error
@@ -251,8 +243,8 @@ func Collect(cfg Config, set SectionSet) (*Enumeration, error) {
 // collectJobs captures a driver's jobs into the enumeration as
 // type-erased CellFuncs. The erased runner reproduces what one local
 // pool attempt does around a job: a private recorder bound to the
-// goroutine (so the captured span subtree matches what the journal
-// would store), the pool.worker fault point, and panic containment.
+// goroutine (so the captured span subtree matches what the cell store
+// keeps), the pool.worker fault point, and panic containment.
 func collectJobs[T any](e *Enumeration, jobs []pool.Job[T]) {
 	for _, j := range jobs {
 		j := j
@@ -287,10 +279,11 @@ func collectJobs[T any](e *Enumeration, jobs []pool.Job[T]) {
 	}
 }
 
-// runRemote is runJobs' coordinator path: resolve journal hits
+// runRemote is runJobs' coordinator path: resolve store hits
 // locally, hand the rest to cfg.Runner, and reassemble results,
-// spans, journal checkpoints and keyed errors so callers — and the
-// manifests — cannot tell the cells ran in other processes.
+// spans, events and keyed errors so callers — and the manifests —
+// cannot tell the cells ran in other processes. The workers commit
+// the cells they compute into the same store.
 func runRemote[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) {
 	ctx := cfg.Ctx
 	if ctx == nil {
@@ -314,17 +307,15 @@ func runRemote[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) 
 	var reqs []CellRequest
 	var reqIdx []int
 	for i, j := range jobs {
-		if raw, jsp, ok := cfg.Journal.Lookup(j.Key); ok {
-			if uerr := json.Unmarshal(raw, &results[i]); uerr == nil {
-				spans[i].Adopt(jsp)
-				spans[i].End()
-				continue
-			}
-			obs.Logf("journal: stale checkpoint for %s; re-running", j.Key)
-			var zero T
-			results[i] = zero
+		if c, ok := cfg.Store.load(j.Fingerprint, &results[i]); ok {
+			spans[i].Adopt(c.Spans)
+			spans[i].End()
+			AdoptEvents(c.Events)
+			continue
 		}
-		reqs = append(reqs, CellRequest{Key: j.Key, Fingerprint: j.Fingerprint})
+		var zero T
+		results[i] = zero
+		reqs = append(reqs, CellRequest{Key: j.Key})
 		reqIdx = append(reqIdx, i)
 	}
 
@@ -362,9 +353,6 @@ func runRemote[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) 
 		}
 		spans[i].Adopt(res.Spans)
 		spans[i].End()
-		if aerr := cfg.Journal.Append(jobs[i].Key, res.Data, res.Spans); aerr != nil {
-			obs.Logf("journal: %v", aerr)
-		}
 		AdoptEvents(res.Events)
 	}
 
@@ -383,10 +371,9 @@ func runRemote[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) 
 
 // CellEvents are the out-of-band records a cell produces besides its
 // result: safe-mode degradations (-verify) and miss-attribution
-// reports (-diag). Workers capture them per cell; the coordinator
-// adopts them so process-global summaries stay correct. Cells served
-// from the journal or the content cache carry none, matching the
-// established resume semantics (replayed cells record no events).
+// reports (-diag). Workers capture them per cell and the cell store
+// keeps them with the result; the coordinator and a replaying run
+// adopt them so process-global summaries stay correct.
 type CellEvents struct {
 	Degraded []DegradeEvent `json:"degraded,omitempty"`
 	Diag     []DiagCell     `json:"diag,omitempty"`
@@ -399,8 +386,8 @@ func (ev CellEvents) Empty() bool { return len(ev.Degraded) == 0 && len(ev.Diag)
 // MarkEvents/EventsSince.
 type EventMark struct{ deg, diag int }
 
-// MarkEvents snapshots the current event-log lengths. A worker marks
-// before running a cell and captures the delta after.
+// MarkEvents snapshots the current event-log lengths. Workers and the
+// cell store mark before running a cell and capture its events after.
 func MarkEvents() EventMark {
 	degradeMu.Lock()
 	deg := len(degradeEvents)
@@ -411,17 +398,22 @@ func MarkEvents() EventMark {
 	return EventMark{deg: deg, diag: diag}
 }
 
-// EventsSince returns every event recorded after the mark.
-func EventsSince(m EventMark) CellEvents {
+// EventsSince returns the events recorded under key after the mark.
+// Filtering by key keeps concurrently running cells' events apart.
+func EventsSince(m EventMark, key string) CellEvents {
 	var ev CellEvents
 	degradeMu.Lock()
-	if m.deg < len(degradeEvents) {
-		ev.Degraded = append([]DegradeEvent(nil), degradeEvents[m.deg:]...)
+	for _, e := range degradeEvents[min(m.deg, len(degradeEvents)):] {
+		if e.Key == key {
+			ev.Degraded = append(ev.Degraded, e)
+		}
 	}
 	degradeMu.Unlock()
 	diagMu.Lock()
-	if m.diag < len(diagCells) {
-		ev.Diag = append([]DiagCell(nil), diagCells[m.diag:]...)
+	for _, c := range diagCells[min(m.diag, len(diagCells)):] {
+		if c.Key == key {
+			ev.Diag = append(ev.Diag, c)
+		}
 	}
 	diagMu.Unlock()
 	return ev
@@ -442,7 +434,7 @@ func AdoptEvents(ev CellEvents) {
 	}
 }
 
-// fingerprint assembles a cell's content-cache key material: the
+// fingerprint assembles a cell's cell-store key material: the
 // section, every configuration knob the result depends on, and the
 // program source hash. Deterministic by construction — no maps.
 func fingerprint(section string, kv ...string) string {

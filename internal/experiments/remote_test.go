@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"falseshare/internal/experiments/journal"
 	"falseshare/internal/sim/ksr"
 )
 
@@ -187,46 +186,56 @@ func TestRunnerManifestMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestRunnerJournalShortCircuit: cells checkpointed in the journal
-// never reach the runner — a resumed distributed run with every cell
-// journaled completes even when the whole fleet is unreachable.
+// TestRunnerJournalShortCircuit: cells already in the cell store (the
+// resume checkpoint) never reach the runner — a resumed distributed
+// run with every cell stored completes even when the whole fleet is
+// unreachable. The first run's cells are committed on the worker
+// side, by an enumeration collected with the store, as a fabric
+// worker does.
 func TestRunnerJournalShortCircuit(t *testing.T) {
 	cfg, mopt, set := remoteTestGrid()
-	enum, err := Collect(cfg.Spec().Config(), set)
+	dir := t.TempDir()
+	wst, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcfg := cfg.Spec().Config()
+	wcfg.Store = wst
+	enum, err := Collect(wcfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	jnl, err := journal.Open(dir)
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rcfg := cfg
 	rcfg.Runner = &localRunner{enum: enum}
-	rcfg.Journal = jnl
+	rcfg.Store = st
 	want, err := Matrix(rcfg, mopt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jnl.Close()
+	if c := st.Counters(); c.Hits != 0 || c.Misses != int64(enum.Len()) {
+		t.Errorf("cold run: hits=%d misses=%d, want 0/%d", c.Hits, c.Misses, enum.Len())
+	}
 
-	jnl2, err := journal.Open(dir)
+	st2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jnl2.Close()
 	rcfg2 := cfg
 	rcfg2.Runner = &localRunner{down: true}
-	rcfg2.Journal = jnl2
+	rcfg2.Store = st2
 	got, err := Matrix(rcfg2, mopt)
 	if err != nil {
-		t.Fatalf("journal-complete run touched the dead fleet: %v", err)
+		t.Fatalf("store-complete run touched the dead fleet: %v", err)
 	}
 	wb, _ := json.Marshal(want)
 	gb, _ := json.Marshal(got)
 	if !bytes.Equal(wb, gb) {
-		t.Error("journal-replayed results differ")
+		t.Error("store-replayed results differ")
 	}
 }
 
@@ -283,21 +292,23 @@ func TestEventsRoundTrip(t *testing.T) {
 	ResetDegraded()
 	defer ResetDegraded()
 	mark := MarkEvents()
-	if ev := EventsSince(mark); !ev.Empty() {
+	if ev := EventsSince(mark, "matrix/gen-test"); !ev.Empty() {
 		t.Fatalf("fresh mark sees events: %+v", ev)
 	}
 	// What a worker does: record during the cell (AdoptEvents doubles
-	// as the recording primitive here), capture the delta after.
+	// as the recording primitive here), capture the delta after. A
+	// concurrently running cell's event stays out of the capture.
 	AdoptEvents(CellEvents{Degraded: []DegradeEvent{{Key: "matrix/gen-test", Objects: []string{"obj"}, Details: []string{"d"}}}})
-	ev := EventsSince(mark)
+	AdoptEvents(CellEvents{Degraded: []DegradeEvent{{Key: "matrix/gen-other", Objects: []string{"x"}}}})
+	ev := EventsSince(mark, "matrix/gen-test")
 	if len(ev.Degraded) != 1 || ev.Degraded[0].Key != "matrix/gen-test" {
-		t.Fatalf("EventsSince missed the degrade event: %+v", ev)
+		t.Fatalf("EventsSince did not capture exactly the cell's degrade event: %+v", ev)
 	}
 	// What the coordinator does: adopt the shipped delta.
 	AdoptEvents(ev)
 	after := DegradedEvents()
-	if len(after) != 2 {
-		t.Fatalf("got %d recorded events, want 2 (worker + adopted copy)", len(after))
+	if len(after) != 3 {
+		t.Fatalf("got %d recorded events, want 3 (two recorded + adopted copy)", len(after))
 	}
 	got := after[len(after)-1]
 	if got.Key != "matrix/gen-test" || len(got.Objects) != 1 || got.Objects[0] != "obj" {

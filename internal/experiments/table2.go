@@ -90,24 +90,23 @@ func Table2(cfg Config) ([]Table2Row, error) {
 			ver = VersionN
 		}
 		key := fmt.Sprintf("table2/%s/b%d/%s", b.Name, blk, variant)
+		// Attribution covers the reference and the fully transformed
+		// variant; the single-transformation ablations stay plain
+		// (their deltas are Table 2's own columns).
+		diag := cfg.Diag && (variant == "N" || variant == "all")
 		jobs = append(jobs, pool.Job[int64]{
 			Key: key,
 			Fingerprint: fingerprint("table2",
 				"prog="+b.Name, fmt.Sprintf("blk=%d", blk), "variant="+variant,
 				fmt.Sprintf("procs=%d", procs), fmt.Sprintf("heur=%+v", hc),
 				fmt.Sprintf("scale=%d", cfg.Scale), fmt.Sprintf("budget=%d", cfg.StepBudget),
-				fmt.Sprintf("verify=%v", cfg.Verify),
+				fmt.Sprintf("verify=%v", cfg.Verify), fmt.Sprintf("diag=%v", diag),
 				"src="+srcHash(b.Source(cfg.Scale))),
 			Run: func(ctx context.Context) (int64, error) {
 				prog, err := cfg.buildProgram(ctx, key, b, ver, procs, blk, hc)
 				if err != nil {
 					return 0, fmt.Errorf("table2 %s %s: %w", b.Name, variant, err)
 				}
-				// Attribution covers the reference and the fully
-				// transformed variant; the single-transformation
-				// ablations stay plain (their deltas are Table 2's
-				// own columns).
-				diag := cfg.Diag && (variant == "N" || variant == "all")
 				st, err := cfg.measureCell(ctx, key, b.Name, ver, procs, blk, prog, diag)
 				if err != nil {
 					return 0, err

@@ -39,7 +39,7 @@
 // request's pooled job, detail "<endpoint>/<source-hash>" — panic
 // and hang exercise containment and deadlines), serve.drain (fired
 // at the start of graceful drain), and the artifact store's points
-// serve.cache / fabric.cache (fired in Put with details "put/<key>"
+// serve.cache / cell.store (fired in Put with details "put/<key>"
 // and, inside the commit window between the tmp write and the
 // rename, "rename/<key>" — exit there leaves a torn write exactly
 // like kill -9; corrupt commits a deliberately damaged entry).

@@ -365,7 +365,7 @@ func (s *Span) Find(name string) *Span {
 }
 
 // Adopt attaches snapshot spans at the recorder's top level. The
-// experiment journal uses it to restore a cached job's recorded span
+// experiments cell store uses it to restore a stored job's recorded span
 // subtree, so a resumed run's manifest matches the uninterrupted one.
 // nil-safe.
 func (r *Recorder) Adopt(spans []*Span) {

@@ -15,7 +15,7 @@ import (
 // pipeline stage, a contained stage panic (*core.InternalError), or a
 // safe-mode degradation is a generator bug. The determinism contract
 // (same Params → byte-identical source) is asserted on every input,
-// since the matrix harness relies on it for journal resume.
+// since the matrix harness relies on it for -resume.
 //
 // The seed corpus under testdata/fuzz/FuzzWorkloadGen covers every
 // pattern at its knob extremes; go test runs it on every invocation.
