@@ -39,3 +39,30 @@ func BenchmarkRun(b *testing.B) {
 		})
 	}
 }
+
+// TestRunAllocs is the deterministic allocation gate on one VM run:
+// maxflow at 12 processes into a nil sink. Frame locals come from a
+// per-process stack, so calls allocate nothing; what remains is the
+// machine, its page directories, the pages the run touches and the
+// allocation records: about 120 allocations (132 under the race
+// detector). A machine that allocated each call's locals made about
+// 15 100 here.
+func TestRunAllocs(t *testing.T) {
+	prog, err := core.Compile(workload.Get("maxflow").Source(1), core.Options{Nprocs: 12, BlockSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := vm.Compile(prog.File, prog.Info, prog.Layout, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := vm.New(bc).Run(nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per run", allocs)
+	if allocs > 250 {
+		t.Errorf("%.0f allocations per run, want at most 250", allocs)
+	}
+}

@@ -129,10 +129,11 @@ func (o Op) String() string {
 
 // Instr is one bytecode instruction.
 type Instr struct {
-	Op   Op
+	Op Op
+	// Line is the source line for runtime diagnostics. It sits next
+	// to Op so an instruction packs into 24 bytes.
+	Line int32
 	A, B int64
-	// Line is the source line for runtime diagnostics.
-	Line int
 }
 
 // Func is a compiled function.

@@ -83,7 +83,7 @@ func (c *compiler) layoutPrivate() error {
 }
 
 func (c *compiler) emit(op Op, a, b int64) int {
-	c.code = append(c.code, Instr{Op: op, A: a, B: b, Line: c.line})
+	c.code = append(c.code, Instr{Op: op, A: a, B: b, Line: int32(c.line)})
 	return len(c.code) - 1
 }
 

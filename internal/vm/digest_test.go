@@ -59,7 +59,10 @@ func traceDigest(t *testing.T, bc *vm.Program) string {
 // every kernel, original and restructured, at 1, 4 and 12 processes,
 // the full reference trace and the per-process counters hash to the
 // committed digests. A dispatch change that moves one reference, one
-// interleaving step or one instruction count fails here.
+// interleaving step or one instruction count fails here. A change to
+// the workloads, the restructurer or the bytecode compiler moves the
+// digests as well; it regenerates them with -update-digests and says
+// why.
 func TestKernelTraceDigests(t *testing.T) {
 	var got []string
 	for _, b := range workload.All() {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"falseshare/internal/faultinject"
@@ -35,10 +36,12 @@ const (
 	Done
 )
 
+// frame is one activation. Its locals are locals[base:base+NLocals]
+// of the process's locals stack.
 type frame struct {
 	fn       *Func
 	pc       int
-	locals   []int64
+	base     int
 	privMark int64
 }
 
@@ -46,6 +49,7 @@ type frame struct {
 type Proc struct {
 	ID     int
 	frames []frame
+	locals []int64 // every frame's locals, innermost last
 	stack  []int64
 	priv   space
 	bump   int64 // private-space bump pointer (local arrays)
@@ -128,7 +132,8 @@ func New(prog *Program) *Machine {
 			priv: newSpace(prog.PrivSize),
 			bump: prog.PrivSize / 2, // local arrays grow above private globals
 		}
-		proc.frames = []frame{{fn: main, locals: make([]int64, main.NLocals)}}
+		proc.frames = []frame{{fn: main}}
+		proc.locals = make([]int64, main.NLocals)
 		m.procs = append(m.procs, proc)
 	}
 	return m
@@ -304,329 +309,393 @@ func (m *Machine) run(sink func(Ref)) error {
 // step advances one process until it emits a shared reference, blocks,
 // finishes, or runs out of its private-instruction slice.
 //
-// The current frame and its code stay in locals; only a call or a
-// return, which change the frame stack, reload them.
+// The whole turn runs in one loop over register-style state: pc, the
+// current frame's code and locals, the operand stack (stk) and the
+// instruction count (n) live in Go locals. They are written back to
+// f.pc, p.stack and p.Instrs (p.save) at every exit, before anything
+// else can look at them: before a shared reference reaches the sink,
+// when the process reaches a barrier, spins on a lock or finishes,
+// before a failure is built, and when the slice ends. A call stores
+// the caller's return pc in its frame and a return reloads it, so
+// frames hold no other live state mid-turn. Nothing outside this loop
+// reads the process in between; OnBarrier and the execution-time
+// model read counters only between turns.
 func (m *Machine) step(p *Proc, slice int, sink func(Ref)) error {
 	budget := m.MaxInstrs
 	if budget <= 0 {
 		budget = defaultMaxInstrs
 	}
 	f := &p.frames[len(p.frames)-1]
-	code := f.fn.Code
-	for i := 0; i < slice; i++ {
-		if f.pc >= len(code) {
-			return m.fail(p, f, "fell off end of code")
+	code, pc, locals := f.fn.Code, f.pc, p.locals[f.base:]
+	stk, n := p.stack, p.Instrs
+	var msg string // set before goto fail
+	// The loop runs until the slice ends or the budget is reached:
+	// below lim, no instruction can exceed either.
+	end := n + int64(slice)
+	for lim := min(end, budget); n < lim; {
+		if pc >= len(code) {
+			msg = "fell off end of code"
+			goto fail
 		}
-		in := code[f.pc]
-		p.Instrs++
-		if p.Instrs > budget {
-			return m.fail(p, f, "step budget exceeded (%d instrs) at pc=%d (runaway program?)", p.Instrs-1, f.pc)
-		}
+		in := &code[pc]
+		n++
 
-		emitted, blocked, err := m.exec(p, f, in, sink)
-		if err != nil {
-			return err
-		}
-		if p.status == Done || p.status == AtBarrier {
-			return nil
-		}
-		if blocked {
-			return nil // lock spin: yield after the read
-		}
-		if emitted {
-			return nil
-		}
 		switch in.Op {
-		case OpCall, OpRet, OpRetV:
+		case OpNop:
+		case OpPush:
+			stk = append(stk, in.A)
+		case OpPushPid:
+			stk = append(stk, int64(p.ID))
+		case OpPushNP:
+			stk = append(stk, int64(m.nprocs))
+		case OpLoadLocal:
+			stk = append(stk, locals[in.A])
+		case OpStoreLocal:
+			locals[in.A] = stk[len(stk)-1]
+			stk = stk[:len(stk)-1]
+		case OpPop:
+			stk = stk[:len(stk)-1]
+
+		case OpLoad4, OpLoad8:
+			size := 4 << (in.Op - OpLoad4)
+			top := len(stk) - 1
+			addr := stk[top]
+			if addr&PrivTag != 0 {
+				off := addr &^ PrivTag
+				if off < 0 || off+int64(size) > p.priv.size {
+					msg = fmt.Sprintf("private access out of range %#x", off)
+					goto fail
+				}
+				stk[top] = p.priv.load(off, size)
+				break
+			}
+			if addr < nullPage || addr+int64(size) > m.mem.size {
+				msg = sharedFault(addr, "load")
+				goto fail
+			}
+			stk[top] = m.mem.load(addr, size)
+			p.save(f, pc+1, stk, n)
+			m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: int8(size), Write: false})
+			return nil
+		case OpStore4, OpStore8:
+			size := 4 << (in.Op - OpStore4)
+			addr, v := stk[len(stk)-1], stk[len(stk)-2]
+			stk = stk[:len(stk)-2]
+			if addr&PrivTag != 0 {
+				off := addr &^ PrivTag
+				if off < 0 || off+int64(size) > p.priv.size {
+					msg = fmt.Sprintf("private access out of range %#x", off)
+					goto fail
+				}
+				p.priv.store(off, v, size)
+				break
+			}
+			if addr < nullPage || addr+int64(size) > m.mem.size {
+				msg = sharedFault(addr, "store")
+				goto fail
+			}
+			m.mem.store(addr, v, size)
+			p.save(f, pc+1, stk, n)
+			m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: int8(size), Write: true})
+			return nil
+
+		case OpIndexPtr:
+			idx, ptr := stk[len(stk)-1], stk[len(stk)-2]
+			if ptr == 0 {
+				msg = "null pointer dereference"
+				goto fail
+			}
+			stk = stk[:len(stk)-1]
+			stk[len(stk)-1] = ptr + idx*m.strideOf(ptr, in.A)
+
+		case OpCheck:
+			if idx := stk[len(stk)-1]; idx < 0 || idx >= in.A {
+				msg = fmt.Sprintf("index %d out of range [0,%d)", idx, in.A)
+				goto fail
+			}
+
+		case OpAddI:
+			stk[len(stk)-2] += stk[len(stk)-1]
+			stk = stk[:len(stk)-1]
+		case OpSubI:
+			stk[len(stk)-2] -= stk[len(stk)-1]
+			stk = stk[:len(stk)-1]
+		case OpMulI:
+			stk[len(stk)-2] *= stk[len(stk)-1]
+			stk = stk[:len(stk)-1]
+		case OpDivI:
+			b := stk[len(stk)-1]
+			if b == 0 {
+				msg = "integer division by zero"
+				goto fail
+			}
+			stk = stk[:len(stk)-1]
+			stk[len(stk)-1] /= b
+		case OpModI:
+			b := stk[len(stk)-1]
+			if b == 0 {
+				msg = "integer modulo by zero"
+				goto fail
+			}
+			stk = stk[:len(stk)-1]
+			stk[len(stk)-1] %= b
+		case OpNegI:
+			stk[len(stk)-1] = -stk[len(stk)-1]
+
+		case OpAddF:
+			stk[len(stk)-2] = fp(pf(stk[len(stk)-2]) + pf(stk[len(stk)-1]))
+			stk = stk[:len(stk)-1]
+		case OpSubF:
+			stk[len(stk)-2] = fp(pf(stk[len(stk)-2]) - pf(stk[len(stk)-1]))
+			stk = stk[:len(stk)-1]
+		case OpMulF:
+			stk[len(stk)-2] = fp(pf(stk[len(stk)-2]) * pf(stk[len(stk)-1]))
+			stk = stk[:len(stk)-1]
+		case OpDivF:
+			stk[len(stk)-2] = fp(pf(stk[len(stk)-2]) / pf(stk[len(stk)-1]))
+			stk = stk[:len(stk)-1]
+		case OpNegF:
+			stk[len(stk)-1] = fp(-pf(stk[len(stk)-1]))
+		case OpI2F:
+			stk[len(stk)-1] = fp(float64(stk[len(stk)-1]))
+
+		case OpEqI:
+			stk[len(stk)-2] = b2i(stk[len(stk)-2] == stk[len(stk)-1])
+			stk = stk[:len(stk)-1]
+		case OpNeI:
+			stk[len(stk)-2] = b2i(stk[len(stk)-2] != stk[len(stk)-1])
+			stk = stk[:len(stk)-1]
+		case OpLtI:
+			stk[len(stk)-2] = b2i(stk[len(stk)-2] < stk[len(stk)-1])
+			stk = stk[:len(stk)-1]
+		case OpLeI:
+			stk[len(stk)-2] = b2i(stk[len(stk)-2] <= stk[len(stk)-1])
+			stk = stk[:len(stk)-1]
+		case OpGtI:
+			stk[len(stk)-2] = b2i(stk[len(stk)-2] > stk[len(stk)-1])
+			stk = stk[:len(stk)-1]
+		case OpGeI:
+			stk[len(stk)-2] = b2i(stk[len(stk)-2] >= stk[len(stk)-1])
+			stk = stk[:len(stk)-1]
+		case OpEqF:
+			stk[len(stk)-2] = b2i(pf(stk[len(stk)-2]) == pf(stk[len(stk)-1]))
+			stk = stk[:len(stk)-1]
+		case OpNeF:
+			stk[len(stk)-2] = b2i(pf(stk[len(stk)-2]) != pf(stk[len(stk)-1]))
+			stk = stk[:len(stk)-1]
+		case OpLtF:
+			stk[len(stk)-2] = b2i(pf(stk[len(stk)-2]) < pf(stk[len(stk)-1]))
+			stk = stk[:len(stk)-1]
+		case OpLeF:
+			stk[len(stk)-2] = b2i(pf(stk[len(stk)-2]) <= pf(stk[len(stk)-1]))
+			stk = stk[:len(stk)-1]
+		case OpGtF:
+			stk[len(stk)-2] = b2i(pf(stk[len(stk)-2]) > pf(stk[len(stk)-1]))
+			stk = stk[:len(stk)-1]
+		case OpGeF:
+			stk[len(stk)-2] = b2i(pf(stk[len(stk)-2]) >= pf(stk[len(stk)-1]))
+			stk = stk[:len(stk)-1]
+		case OpNot:
+			stk[len(stk)-1] = b2i(stk[len(stk)-1] == 0)
+
+		case OpJmp:
+			pc = int(in.A)
+			continue
+		case OpJz:
+			v := stk[len(stk)-1]
+			stk = stk[:len(stk)-1]
+			if v == 0 {
+				pc = int(in.A)
+				continue
+			}
+
+		case OpCall:
+			// The callee's locals are pushed zeroed on the process's
+			// locals stack; its parameters come off the operand stack
+			// in push order.
+			callee := m.prog.Funcs[in.A]
+			f.pc = pc + 1
+			base := len(p.locals)
+			p.locals = slices.Grow(p.locals, callee.NLocals)[:base+callee.NLocals]
+			clear(p.locals[base:])
+			np := len(stk) - callee.NParams
+			copy(p.locals[base:], stk[np:])
+			stk = stk[:np]
+			p.frames = append(p.frames, frame{fn: callee, base: base, privMark: p.bump})
 			f = &p.frames[len(p.frames)-1]
-			code = f.fn.Code
+			code, pc, locals = callee.Code, 0, p.locals[base:]
+			continue
+		case OpRet, OpRetV:
+			var v int64
+			if in.Op == OpRetV {
+				v = stk[len(stk)-1]
+				stk = stk[:len(stk)-1]
+			}
+			p.bump = f.privMark
+			p.locals = p.locals[:f.base]
+			p.frames = p.frames[:len(p.frames)-1]
+			if len(p.frames) == 0 {
+				p.stack, p.Instrs = stk, n
+				p.status = Done
+				return nil
+			}
+			if in.Op == OpRetV {
+				stk = append(stk, v)
+			}
+			f = &p.frames[len(p.frames)-1]
+			code, pc, locals = f.fn.Code, f.pc, p.locals[f.base:]
+			continue
+		case OpHalt:
+			p.save(f, pc, stk, n)
+			p.status = Done
+			return nil
+
+		case OpAllocHeap:
+			stride, count := in.A, int64(1)
+			if in.B&1 != 0 {
+				count = stk[len(stk)-1]
+				stk = stk[:len(stk)-1]
+			}
+			align := max(in.B>>1, 8)
+			addr := align64(m.heapPtr, align)
+			if msg = allocFault(addr, stride, count, m.prog.ArenaBase, "shared heap exhausted"); msg != "" {
+				goto fail
+			}
+			m.heapPtr = addr + stride*count
+			m.heapAllocs = append(m.heapAllocs, allocEntry{addr, m.heapPtr, stride})
+			stk = append(stk, addr)
+
+		case OpAllocArena:
+			stride, count := in.A, int64(1)
+			if in.B&1 != 0 {
+				count = stk[len(stk)-1]
+				stk = stk[:len(stk)-1]
+			}
+			base := align64(m.arenaPtr[p.ID], 8)
+			limit := m.prog.ArenaBase + int64(p.ID+1)*m.prog.ArenaSize
+			if msg = allocFault(base, stride, count, limit, "process arena exhausted"); msg != "" {
+				goto fail
+			}
+			m.arenaPtr[p.ID] = base + stride*count
+			m.arenaAllocs[p.ID] = append(m.arenaAllocs[p.ID], allocEntry{base, m.arenaPtr[p.ID], stride})
+			stk = append(stk, base)
+
+		case OpBarrier:
+			p.save(f, pc+1, stk, n)
+			p.status = AtBarrier
+			return nil
+
+		case OpLockAcq:
+			addr := stk[len(stk)-1]
+			if msg = m.lockFault(addr); msg != "" {
+				goto fail
+			}
+			if m.mem.load(addr, 4) != 0 {
+				// Held: spin. Keep the address on the stack and retry this
+				// instruction on the next turn.
+				p.save(f, pc, stk, n)
+				m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: 4, Write: false})
+				p.Spins++
+				return nil
+			}
+			stk = stk[:len(stk)-1]
+			m.mem.store(addr, 1, 4)
+			p.save(f, pc+1, stk, n)
+			m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: 4, Write: false})
+			m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: 4, Write: true})
+			return nil
+
+		case OpLockRel:
+			addr := stk[len(stk)-1]
+			stk = stk[:len(stk)-1]
+			if msg = m.lockFault(addr); msg != "" {
+				goto fail
+			}
+			m.mem.store(addr, 0, 4)
+			p.save(f, pc+1, stk, n)
+			m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: 4, Write: true})
+			return nil
+
+		case OpLocalArr:
+			size := align64(in.A, 8)
+			base := p.bump
+			if base+size > p.priv.size {
+				msg = "private space exhausted"
+				goto fail
+			}
+			p.bump += size
+			// Zero the array (fresh storage per execution).
+			p.priv.clear(base, size)
+			locals[in.B] = base | PrivTag
+
+		default:
+			msg = fmt.Sprintf("bad opcode %s", in.Op)
+			goto fail
 		}
+		pc++
 	}
+	if n < end {
+		// The budget ran out inside the slice: the next instruction
+		// is the one that exceeds it.
+		if pc >= len(code) {
+			msg = "fell off end of code"
+			goto fail
+		}
+		n++
+		msg = fmt.Sprintf("step budget exceeded (%d instrs) at pc=%d (runaway program?)", n-1, pc)
+		goto fail
+	}
+	p.save(f, pc, stk, n)
 	return nil
+
+fail:
+	p.save(f, pc, stk, n)
+	return m.fail(p, f, msg)
 }
 
-func (m *Machine) fail(p *Proc, f *frame, format string, args ...any) error {
+// save writes a turn's register state back to the process.
+func (p *Proc) save(f *frame, pc int, stk []int64, n int64) {
+	f.pc, p.stack, p.Instrs = pc, stk, n
+}
+
+// fail reports msg at the frame's saved pc.
+func (m *Machine) fail(p *Proc, f *frame, msg string) error {
 	line := 0
 	if f.pc < len(f.fn.Code) {
-		line = f.fn.Code[f.pc].Line
+		line = int(f.fn.Code[f.pc].Line)
 	}
-	return &RunError{Proc: p.ID, Fn: f.fn.Name, Line: line, Msg: fmt.Sprintf(format, args...)}
+	return &RunError{Proc: p.ID, Fn: f.fn.Name, Line: line, Msg: msg}
 }
 
-func (p *Proc) push(v int64) { p.stack = append(p.stack, v) }
-func (p *Proc) pop() int64 {
-	v := p.stack[len(p.stack)-1]
-	p.stack = p.stack[:len(p.stack)-1]
-	return v
-}
-func (p *Proc) top() int64 { return p.stack[len(p.stack)-1] }
-
-// exec executes one instruction. It returns emitted=true when a shared
-// reference was issued and blocked=true when the process must yield
-// without advancing (lock spin).
-func (m *Machine) exec(p *Proc, f *frame, in Instr, sink func(Ref)) (emitted, blocked bool, err error) {
-	switch in.Op {
-	case OpNop:
-	case OpPush:
-		p.push(in.A)
-	case OpPushPid:
-		p.push(int64(p.ID))
-	case OpPushNP:
-		p.push(int64(m.nprocs))
-	case OpLoadLocal:
-		p.push(f.locals[in.A])
-	case OpStoreLocal:
-		f.locals[in.A] = p.pop()
-	case OpPop:
-		p.pop()
-
-	case OpLoad4:
-		addr := p.pop()
-		v, e := m.load(p, f, addr, 4, sink, &emitted)
-		if e != nil {
-			return false, false, e
-		}
-		p.push(v)
-	case OpLoad8:
-		addr := p.pop()
-		v, e := m.load(p, f, addr, 8, sink, &emitted)
-		if e != nil {
-			return false, false, e
-		}
-		p.push(v)
-	case OpStore4:
-		addr := p.pop()
-		v := p.pop()
-		if e := m.store(p, f, addr, v, 4, sink, &emitted); e != nil {
-			return false, false, e
-		}
-	case OpStore8:
-		addr := p.pop()
-		v := p.pop()
-		if e := m.store(p, f, addr, v, 8, sink, &emitted); e != nil {
-			return false, false, e
-		}
-
-	case OpIndexPtr:
-		idx := p.pop()
-		ptr := p.pop()
-		if ptr == 0 {
-			return false, false, m.fail(p, f, "null pointer dereference")
-		}
-		stride := m.strideOf(ptr, in.A)
-		p.push(ptr + idx*stride)
-
-	case OpCheck:
-		idx := p.top()
-		if idx < 0 || idx >= in.A {
-			return false, false, m.fail(p, f, "index %d out of range [0,%d)", idx, in.A)
-		}
-
-	case OpAddI:
-		b := p.pop()
-		p.push(p.pop() + b)
-	case OpSubI:
-		b := p.pop()
-		p.push(p.pop() - b)
-	case OpMulI:
-		b := p.pop()
-		p.push(p.pop() * b)
-	case OpDivI:
-		b := p.pop()
-		if b == 0 {
-			return false, false, m.fail(p, f, "integer division by zero")
-		}
-		p.push(p.pop() / b)
-	case OpModI:
-		b := p.pop()
-		if b == 0 {
-			return false, false, m.fail(p, f, "integer modulo by zero")
-		}
-		p.push(p.pop() % b)
-	case OpNegI:
-		p.push(-p.pop())
-
-	case OpAddF:
-		b := pf(p.pop())
-		p.push(fp(pf(p.pop()) + b))
-	case OpSubF:
-		b := pf(p.pop())
-		p.push(fp(pf(p.pop()) - b))
-	case OpMulF:
-		b := pf(p.pop())
-		p.push(fp(pf(p.pop()) * b))
-	case OpDivF:
-		b := pf(p.pop())
-		p.push(fp(pf(p.pop()) / b))
-	case OpNegF:
-		p.push(fp(-pf(p.pop())))
-	case OpI2F:
-		p.push(fp(float64(p.pop())))
-
-	case OpEqI:
-		b := p.pop()
-		p.push(b2i(p.pop() == b))
-	case OpNeI:
-		b := p.pop()
-		p.push(b2i(p.pop() != b))
-	case OpLtI:
-		b := p.pop()
-		p.push(b2i(p.pop() < b))
-	case OpLeI:
-		b := p.pop()
-		p.push(b2i(p.pop() <= b))
-	case OpGtI:
-		b := p.pop()
-		p.push(b2i(p.pop() > b))
-	case OpGeI:
-		b := p.pop()
-		p.push(b2i(p.pop() >= b))
-	case OpEqF:
-		b := pf(p.pop())
-		p.push(b2i(pf(p.pop()) == b))
-	case OpNeF:
-		b := pf(p.pop())
-		p.push(b2i(pf(p.pop()) != b))
-	case OpLtF:
-		b := pf(p.pop())
-		p.push(b2i(pf(p.pop()) < b))
-	case OpLeF:
-		b := pf(p.pop())
-		p.push(b2i(pf(p.pop()) <= b))
-	case OpGtF:
-		b := pf(p.pop())
-		p.push(b2i(pf(p.pop()) > b))
-	case OpGeF:
-		b := pf(p.pop())
-		p.push(b2i(pf(p.pop()) >= b))
-	case OpNot:
-		p.push(b2i(p.pop() == 0))
-
-	case OpJmp:
-		f.pc = int(in.A)
-		return false, false, nil
-	case OpJz:
-		if p.pop() == 0 {
-			f.pc = int(in.A)
-			return false, false, nil
-		}
-
-	case OpCall:
-		callee := m.prog.Funcs[in.A]
-		nf := frame{fn: callee, locals: make([]int64, callee.NLocals), privMark: p.bump}
-		for i := callee.NParams - 1; i >= 0; i-- {
-			nf.locals[i] = p.pop()
-		}
-		f.pc++
-		p.frames = append(p.frames, nf)
-		return false, false, nil
-	case OpRet, OpRetV:
-		var v int64
-		if in.Op == OpRetV {
-			v = p.pop()
-		}
-		p.bump = f.privMark
-		p.frames = p.frames[:len(p.frames)-1]
-		if len(p.frames) == 0 {
-			p.status = Done
-			return false, false, nil
-		}
-		if in.Op == OpRetV {
-			p.push(v)
-		}
-		return false, false, nil
-	case OpHalt:
-		p.status = Done
-		return false, false, nil
-
-	case OpAllocHeap:
-		stride := in.A
-		count := int64(1)
-		align := int64(8)
-		if in.B&1 != 0 {
-			count = p.pop()
-		}
-		if a := in.B >> 1; a > align {
-			align = a
-		}
-		if count < 0 {
-			return false, false, m.fail(p, f, "negative allocation count %d", count)
-		}
-		m.heapPtr = align64(m.heapPtr, align)
-		addr := m.heapPtr
-		total := stride * count
-		if addr+total > m.prog.ArenaBase {
-			return false, false, m.fail(p, f, "shared heap exhausted")
-		}
-		m.heapPtr += total
-		m.heapAllocs = append(m.heapAllocs, allocEntry{addr, addr + total, stride})
-		p.push(addr)
-
-	case OpAllocArena:
-		stride := in.A
-		count := int64(1)
-		if in.B&1 != 0 {
-			count = p.pop()
-		}
-		base := m.arenaPtr[p.ID]
-		base = align64(base, 8)
-		total := stride * count
-		limit := m.prog.ArenaBase + int64(p.ID+1)*m.prog.ArenaSize
-		if base+total > limit {
-			return false, false, m.fail(p, f, "process arena exhausted")
-		}
-		m.arenaPtr[p.ID] = base + total
-		m.arenaAllocs[p.ID] = append(m.arenaAllocs[p.ID], allocEntry{base, base + total, stride})
-		p.push(base)
-
-	case OpBarrier:
-		p.status = AtBarrier
-		f.pc++
-		return false, false, nil
-
-	case OpLockAcq:
-		addr := p.top()
-		if addr&PrivTag != 0 || addr <= 0 || addr+4 > m.mem.size {
-			return false, false, m.fail(p, f, "invalid lock address %#x", addr)
-		}
-		v := m.mem.load(addr, 4)
-		m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: 4, Write: false})
-		if v != 0 {
-			// Held: spin. Keep the address on the stack and retry this
-			// instruction on the next turn.
-			p.Spins++
-			return true, true, nil
-		}
-		p.pop()
-		m.mem.store(addr, 1, 4)
-		m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: 4, Write: true})
-		emitted = true
-
-	case OpLockRel:
-		addr := p.pop()
-		if addr&PrivTag != 0 || addr <= 0 || addr+4 > m.mem.size {
-			return false, false, m.fail(p, f, "invalid lock address %#x", addr)
-		}
-		m.mem.store(addr, 0, 4)
-		m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: 4, Write: true})
-		emitted = true
-
-	case OpLocalArr:
-		size := align64(in.A, 8)
-		base := p.bump
-		if base+size > p.priv.size {
-			return false, false, m.fail(p, f, "private space exhausted")
-		}
-		p.bump += size
-		// Zero the array (fresh storage per execution).
-		p.priv.clear(base, size)
-		f.locals[in.B] = base | PrivTag
-
-	default:
-		return false, false, m.fail(p, f, "bad opcode %s", in.Op)
+// sharedFault returns the error message for a shared load or store at
+// addr that failed the range check: below nullPage or past the space.
+func sharedFault(addr int64, what string) string {
+	if addr >= 0 && addr < nullPage {
+		return fmt.Sprintf("null pointer dereference (address %#x)", addr)
 	}
-	f.pc++
-	return emitted, false, nil
+	return fmt.Sprintf("shared %s out of range %#x", what, addr)
+}
+
+// lockFault returns the error message for a lock word at addr, or ""
+// when addr is a valid shared lock address.
+func (m *Machine) lockFault(addr int64) string {
+	if addr&PrivTag != 0 || addr <= 0 || addr+4 > m.mem.size {
+		return fmt.Sprintf("invalid lock address %#x", addr)
+	}
+	return ""
+}
+
+// allocFault returns the error message for count elements of stride
+// bytes placed at addr below limit, or "" when they fit. It divides
+// instead of multiplying, so a huge count cannot wrap the product.
+func allocFault(addr, stride, count, limit int64, exhausted string) string {
+	if count < 0 {
+		return fmt.Sprintf("negative allocation count %d", count)
+	}
+	if addr > limit || stride > 0 && count > (limit-addr)/stride {
+		return exhausted
+	}
+	return ""
 }
 
 func (m *Machine) emit(p *Proc, sink func(Ref), r Ref) {
@@ -634,47 +703,6 @@ func (m *Machine) emit(p *Proc, sink func(Ref), r Ref) {
 	if sink != nil {
 		sink(r)
 	}
-}
-
-// load performs a 4- or 8-byte load, tracing shared accesses.
-func (m *Machine) load(p *Proc, f *frame, addr int64, size int, sink func(Ref), emitted *bool) (int64, error) {
-	if addr&PrivTag != 0 {
-		off := addr &^ PrivTag
-		if off < 0 || off+int64(size) > p.priv.size {
-			return 0, m.fail(p, f, "private access out of range %#x", off)
-		}
-		return p.priv.load(off, size), nil
-	}
-	if addr >= 0 && addr < nullPage {
-		return 0, m.fail(p, f, "null pointer dereference (address %#x)", addr)
-	}
-	if addr <= 0 || addr+int64(size) > m.mem.size {
-		return 0, m.fail(p, f, "shared load out of range %#x", addr)
-	}
-	m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: int8(size), Write: false})
-	*emitted = true
-	return m.mem.load(addr, size), nil
-}
-
-func (m *Machine) store(p *Proc, f *frame, addr, v int64, size int, sink func(Ref), emitted *bool) error {
-	if addr&PrivTag != 0 {
-		off := addr &^ PrivTag
-		if off < 0 || off+int64(size) > p.priv.size {
-			return m.fail(p, f, "private access out of range %#x", off)
-		}
-		p.priv.store(off, v, size)
-		return nil
-	}
-	if addr >= 0 && addr < nullPage {
-		return m.fail(p, f, "null pointer dereference (address %#x)", addr)
-	}
-	if addr <= 0 || addr+int64(size) > m.mem.size {
-		return m.fail(p, f, "shared store out of range %#x", addr)
-	}
-	m.mem.store(addr, v, size)
-	m.emit(p, sink, Ref{Proc: p.ID, Addr: addr, Size: int8(size), Write: true})
-	*emitted = true
-	return nil
 }
 
 // strideOf resolves the element stride of the allocation containing

@@ -18,6 +18,41 @@ func newMachine(t *testing.T, src string, nprocs int) *Machine {
 	return New(prog)
 }
 
+// probe runs code as one turn of p in a fresh single frame and
+// returns the operand stack the turn leaves and its error. A shared
+// access ends the turn right after it.
+func probe(m *Machine, p *Proc, code ...Instr) ([]int64, error) {
+	p.frames = []frame{{fn: &Func{Name: "probe", Code: append(code, Instr{Op: OpHalt})}}}
+	p.stack, p.status = p.stack[:0], Running
+	err := m.step(p, len(code)+1, nil)
+	return p.stack, err
+}
+
+// probeLoad is a size-byte load of addr through the machine's checked
+// access path.
+func probeLoad(m *Machine, p *Proc, addr int64, size int) (int64, error) {
+	op := OpLoad4
+	if size == 8 {
+		op = OpLoad8
+	}
+	stk, err := probe(m, p, Instr{Op: OpPush, A: addr}, Instr{Op: op})
+	if err != nil {
+		return 0, err
+	}
+	return stk[0], nil
+}
+
+// probeStore is a size-byte store of v at addr through the machine's
+// checked access path.
+func probeStore(m *Machine, p *Proc, addr, v int64, size int) error {
+	op := OpStore4
+	if size == 8 {
+		op = OpStore8
+	}
+	_, err := probe(m, p, Instr{Op: OpPush, A: v}, Instr{Op: OpPush, A: addr}, Instr{Op: op})
+	return err
+}
+
 func livePages(s *space) int {
 	n := 0
 	for _, pg := range s.pages {
@@ -35,7 +70,6 @@ func livePages(s *space) int {
 func TestStraddlingAccess(t *testing.T) {
 	m := newMachine(t, "shared int x;\nvoid main() { x = 1; }", 2)
 	p := m.procs[0]
-	f := &p.frames[0]
 	const boundary = 3 * pageSize
 	spaces := []struct {
 		name string
@@ -50,10 +84,9 @@ func TestStraddlingAccess(t *testing.T) {
 			for back := int64(1); back < int64(size); back++ {
 				t.Run(fmt.Sprintf("%s/size%d/back%d", sp.name, size, back), func(t *testing.T) {
 					addr := sp.tag | (boundary - back)
-					var emitted bool
 					// A never-written straddle reads zero and creates no page.
 					live := livePages(sp.s)
-					if v, err := m.load(p, f, addr, size, nil, &emitted); err != nil || v != 0 {
+					if v, err := probeLoad(m, p, addr, size); err != nil || v != 0 {
 						t.Fatalf("fresh load = %d, %v", v, err)
 					}
 					if n := livePages(sp.s); n != live {
@@ -63,10 +96,10 @@ func TestStraddlingAccess(t *testing.T) {
 					if size == 4 {
 						want = -0x12345678
 					}
-					if err := m.store(p, f, addr, want, size, nil, &emitted); err != nil {
+					if err := probeStore(m, p, addr, want, size); err != nil {
 						t.Fatal(err)
 					}
-					if v, err := m.load(p, f, addr, size, nil, &emitted); err != nil || v != want {
+					if v, err := probeLoad(m, p, addr, size); err != nil || v != want {
 						t.Fatalf("load = %#x, %v; want %#x", v, err, want)
 					}
 					// The bytes split across the two pages little-endian.
@@ -190,12 +223,10 @@ void main() { p->v = 1; }`,
 	// lock or private address, so drive those checks directly.
 	m := newMachine(t, "shared int x;\nvoid main() { x = 1; }", 2)
 	p := m.procs[0]
-	f := &p.frames[0]
 	end, priv := m.MemSize(), p.priv.size
 	for _, addr := range []int64{0, -8, end - 2, end, PrivTag | 16} {
 		for _, op := range []Op{OpLockAcq, OpLockRel} {
-			p.stack = append(p.stack[:0], addr)
-			_, _, err := m.exec(p, f, Instr{Op: op}, nil)
+			_, err := probe(m, p, Instr{Op: OpPush, A: addr}, Instr{Op: op})
 			want := fmt.Sprintf("invalid lock address %#x", addr)
 			if re, ok := err.(*RunError); !ok || re.Msg != want {
 				t.Errorf("%s at %#x: %v, want %q", op, addr, err, want)
@@ -203,12 +234,11 @@ void main() { p->v = 1; }`,
 		}
 	}
 	for _, off := range []int64{priv - 2, priv} {
-		var emitted bool
 		want := fmt.Sprintf("private access out of range %#x", off)
-		if _, err := m.load(p, f, PrivTag|off, 4, nil, &emitted); err == nil || err.(*RunError).Msg != want {
+		if _, err := probeLoad(m, p, PrivTag|off, 4); err == nil || err.(*RunError).Msg != want {
 			t.Errorf("private load at %#x: %v, want %q", off, err, want)
 		}
-		if err := m.store(p, f, PrivTag|off, 1, 4, nil, &emitted); err == nil || err.(*RunError).Msg != want {
+		if err := probeStore(m, p, PrivTag|off, 1, 4); err == nil || err.(*RunError).Msg != want {
 			t.Errorf("private store at %#x: %v, want %q", off, err, want)
 		}
 	}

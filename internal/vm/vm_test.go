@@ -308,6 +308,17 @@ void main() { x = 1 / (x - x); }`, "division by zero"},
 struct S { int v; };
 shared struct S *p;
 void main() { p->v = 1; }`, "null pointer"},
+		// A negative or overflowing count must fail, not move the
+		// bump pointer back or wrap it past the region's start.
+		{"arena negative count", `
+shared int *a;
+void main() { a = allocpp(int, 0 - 4); }`, "negative allocation count -4"},
+		{"heap count overflow", `
+shared int *a;
+void main() { if (pid == 0) { a = alloc(int, 2305843009213693952); } }`, "shared heap exhausted"},
+		{"arena count overflow", `
+shared int *a;
+void main() { a = allocpp(int, 2305843009213693952); }`, "process arena exhausted"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
