@@ -72,11 +72,10 @@ func ComputeAggregates(cfg Config, block int64) (*Aggregates, error) {
 					if err != nil {
 						return aggCell{}, err
 					}
-					stats, err := MeasureBlocksCtx(ctx, prog, []int64{block}, 1, cfg.StepBudget)
+					st, err := cfg.measureCell(ctx, key, b.Name, ver, procs, block, prog, false)
 					if err != nil {
 						return aggCell{}, err
 					}
-					st := stats[0]
 					return aggCell{Prog: b.Name, Ver: ver, FS: st.FalseShare, Other: st.Misses() - st.FalseShare}, nil
 				},
 			})

@@ -76,7 +76,7 @@ func MeasureBlocksAttr(ctx context.Context, prog *core.Program, blocks []int64, 
 	defer sp.End()
 	sp.Set("blocks", int64(len(blocks)))
 	nprocs := int(prog.Layout.Nprocs)
-	bc, err := vm.Compile(prog.File, prog.Info, prog.Layout, nprocs)
+	bc, err := compileBytecode(prog)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -125,16 +125,29 @@ func Diagnose(ctx context.Context, prog *core.Program, block int64, budget int64
 	return stats[0], reps[0], nil
 }
 
-// measureCell is the per-cell measurement behind the Figure 3 and
-// Table 2 jobs: plain stats normally, attributed stats recorded under
-// the cell key when diag is set.
+// measureCell is the per-cell measurement behind the Figure 3,
+// Table 2 and aggregates jobs: plain stats normally, shared with
+// identical cells of the same driver call (see executions);
+// attributed stats recorded under the cell key when diag is set.
 func (cfg Config) measureCell(ctx context.Context, key, program string, ver Version, procs int, blk int64, prog *core.Program, diag bool) (*cache.Stats, error) {
 	if !diag {
-		stats, err := MeasureBlocksCtx(ctx, prog, []int64{blk}, 1, cfg.StepBudget)
+		bc, err := compileBytecode(prog)
 		if err != nil {
 			return nil, err
 		}
-		return stats[0], nil
+		run := func() (*cache.Stats, *obs.Span, error) {
+			stats, sp, err := measureBytecode(ctx, bc, []int64{blk}, 1, cfg.StepBudget)
+			if err != nil {
+				return nil, nil, err
+			}
+			return stats[0], sp, nil
+		}
+		x := executionsFrom(ctx)
+		if x == nil {
+			st, _, err := run()
+			return st, err
+		}
+		return x.do(ctx, newExecKey(bc, cfg.StepBudget, cache.DefaultConfig(bc.Nprocs, blk)), run)
 	}
 	stats, reps, err := MeasureBlocksAttr(ctx, prog, []int64{blk}, cfg.StepBudget)
 	if err != nil {

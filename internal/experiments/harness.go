@@ -149,6 +149,10 @@ func ProgramCtx(ctx context.Context, b *workload.Benchmark, ver Version, nprocs 
 // run, and the driver sees zero-valued results behind an errCollected
 // sentinel; with cfg.Runner set the cells execute in other processes
 // and the results and spans are reassembled locally.
+//
+// Only the local pool shares executions: its jobs' context carries a
+// fresh execution memo (see withExecutions), so identical cells of
+// this one call run once. The memo dies with the call.
 func runJobs[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) {
 	jobs = storeJobs(cfg.Store, jobs)
 	if cfg.enum != nil {
@@ -158,7 +162,7 @@ func runJobs[T any](cfg Config, name string, jobs []pool.Job[T]) ([]T, error) {
 	if cfg.Runner != nil {
 		return runRemote(cfg, name, jobs)
 	}
-	return pool.RunPolicy(cfg.Ctx, name, cfg.Workers, cfg.Policy, jobs)
+	return pool.RunPolicy(withExecutions(cfg.Ctx), name, cfg.Workers, cfg.Policy, jobs)
 }
 
 // Baseline returns the version speedups are measured against: N when
@@ -212,19 +216,34 @@ func MeasureBlocksCtx(ctx context.Context, prog *core.Program, blocks []int64, w
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("experiments: MeasureBlocks: no block sizes given")
 	}
-	sp := obs.Begin("measure")
-	defer sp.End()
-	sp.Set("blocks", int64(len(blocks)))
-	nprocs := int(prog.Layout.Nprocs)
-	bc, err := vm.Compile(prog.File, prog.Info, prog.Layout, nprocs)
+	bc, err := compileBytecode(prog)
 	if err != nil {
 		return nil, err
 	}
+	stats, _, err := measureBytecode(ctx, bc, blocks, workers, budget)
+	return stats, err
+}
+
+// compileBytecode compiles a laid-out program for the process count
+// its layout was computed for.
+func compileBytecode(prog *core.Program) (*vm.Program, error) {
+	return vm.Compile(prog.File, prog.Info, prog.Layout, int(prog.Layout.Nprocs))
+}
+
+// measureBytecode is MeasureBlocksCtx on compiled bytecode. It also
+// returns the "measure" span it recorded (nil without a recorder), so
+// a cell that reuses this execution can adopt a copy of it.
+func measureBytecode(ctx context.Context, bc *vm.Program, blocks []int64, workers int, budget int64) ([]*cache.Stats, *obs.Span, error) {
+	sp := obs.Begin("measure")
+	defer sp.End()
+	sp.Set("blocks", int64(len(blocks)))
+	nprocs := bc.Nprocs
 	sims := make([]*cache.Sim, len(blocks))
 	for i, blk := range blocks {
+		var err error
 		sims[i], err = cache.New(cache.DefaultConfig(nprocs, blk))
 		if err != nil {
-			return nil, fmt.Errorf("experiments: MeasureBlocks: block %d: %w", blk, err)
+			return nil, nil, fmt.Errorf("experiments: MeasureBlocks: block %d: %w", blk, err)
 		}
 	}
 	m := vm.New(bc)
@@ -240,7 +259,7 @@ func MeasureBlocksCtx(ctx context.Context, prog *core.Program, blocks []int64, w
 				s.Access(r.Proc, r.Addr, int64(r.Size), r.Write)
 			}
 		}); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	} else {
 		sinks := make([]trace.Sink, len(sims))
@@ -261,10 +280,10 @@ func MeasureBlocksCtx(ctx context.Context, prog *core.Program, blocks []int64, w
 		}
 		runErr := m.Run(pt.Sink())
 		if err := pt.Close(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if runErr != nil {
-			return nil, runErr
+			return nil, nil, runErr
 		}
 	}
 
@@ -272,7 +291,7 @@ func MeasureBlocksCtx(ctx context.Context, prog *core.Program, blocks []int64, w
 	for i, s := range sims {
 		out[i] = s.Stats()
 	}
-	return out, nil
+	return out, sp, nil
 }
 
 // metricsEvery is the streaming-metrics period in block references:

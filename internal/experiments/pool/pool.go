@@ -231,7 +231,7 @@ func RunPolicy[T any](ctx context.Context, name string, workers int, pol Policy,
 	}
 	base := obs.Current()
 
-	runCtx, cancel := context.WithCancel(ctx)
+	runCtx, cancel := context.WithCancel(context.WithValue(ctx, runSpanKey{}, parent))
 	defer cancel()
 
 	results := make([]T, len(jobs))
@@ -285,6 +285,16 @@ func RunPolicy[T any](ctx context.Context, name string, workers int, pol Policy,
 		return results, &MultiError{Errors: failed, Jobs: len(jobs)}
 	}
 	return results, nil
+}
+
+type runSpanKey struct{}
+
+// RunSpan returns the "pool:<name>" span of the run whose job was
+// handed ctx, so a job can add run-level counters next to the pool's
+// own jobs counter; nil outside a pool run or without a recorder.
+func RunSpan(ctx context.Context) *obs.Span {
+	sp, _ := ctx.Value(runSpanKey{}).(*obs.Span)
+	return sp
 }
 
 // runOne executes a single job — retrying transient failures per the

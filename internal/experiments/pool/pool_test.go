@@ -429,6 +429,34 @@ func TestPoolSpanFailureAnnotations(t *testing.T) {
 	}
 }
 
+// TestParallelPoolRunSpan: a job reaches its run's pool span through
+// its context and counts there, at any worker count; outside a run
+// there is no span.
+func TestParallelPoolRunSpan(t *testing.T) {
+	if RunSpan(context.Background()) != nil {
+		t.Fatal("RunSpan outside a pool run must be nil")
+	}
+	for _, workers := range []int{1, 4} {
+		rec := obs.NewRecorder()
+		obs.Install(rec)
+		jobs := make([]Job[int], 6)
+		for i := range jobs {
+			jobs[i] = Job[int]{Key: fmt.Sprint(i), Run: func(ctx context.Context) (int, error) {
+				RunSpan(ctx).Count("seen", 1)
+				return 0, nil
+			}}
+		}
+		_, err := Run("span", workers, jobs)
+		obs.Install(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := rec.Spans()[0]; p.Name != "pool:span" || p.Counter("seen") != 6 {
+			t.Errorf("-j %d: %s seen=%d, want pool:span seen=6", workers, p.Name, p.Counter("seen"))
+		}
+	}
+}
+
 // TestParallelPoolNoRecorder: with observability off the pool neither
 // panics nor installs anything.
 func TestParallelPoolNoRecorder(t *testing.T) {

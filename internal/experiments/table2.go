@@ -74,60 +74,7 @@ type table2Key struct {
 // variant is missing, and the row itself is dropped when no block
 // size survives; a *Partial error names the failed cells.
 func Table2(cfg Config) ([]Table2Row, error) {
-	variants := onlyConfigs()
-	names := make([]string, 0, len(variants))
-	for name := range variants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	var jobs []pool.Job[int64]
-	var keys []table2Key
-	add := func(b *workload.Benchmark, procs int, blk int64, variant string, hc transform.Config) {
-		keys = append(keys, table2Key{prog: b.Name, block: blk, variant: variant})
-		ver := VersionC
-		if variant == "N" {
-			ver = VersionN
-		}
-		key := fmt.Sprintf("table2/%s/b%d/%s", b.Name, blk, variant)
-		// Attribution covers the reference and the fully transformed
-		// variant; the single-transformation ablations stay plain
-		// (their deltas are Table 2's own columns).
-		diag := cfg.Diag && (variant == "N" || variant == "all")
-		jobs = append(jobs, pool.Job[int64]{
-			Key: key,
-			Fingerprint: fingerprint("table2",
-				"prog="+b.Name, fmt.Sprintf("blk=%d", blk), "variant="+variant,
-				fmt.Sprintf("procs=%d", procs), fmt.Sprintf("heur=%+v", hc),
-				fmt.Sprintf("scale=%d", cfg.Scale), fmt.Sprintf("budget=%d", cfg.StepBudget),
-				fmt.Sprintf("verify=%v", cfg.Verify), fmt.Sprintf("diag=%v", diag),
-				"src="+srcHash(b.Source(cfg.Scale))),
-			Run: func(ctx context.Context) (int64, error) {
-				prog, err := cfg.buildProgram(ctx, key, b, ver, procs, blk, hc)
-				if err != nil {
-					return 0, fmt.Errorf("table2 %s %s: %w", b.Name, variant, err)
-				}
-				st, err := cfg.measureCell(ctx, key, b.Name, ver, procs, blk, prog, diag)
-				if err != nil {
-					return 0, err
-				}
-				return st.FalseShare, nil
-			},
-		})
-	}
-	for _, b := range workload.Unoptimizable() {
-		procs := cfg.Fig3Procs
-		if b.Name == "topopt" && cfg.Fig3ProcsTopopt > 0 {
-			procs = cfg.Fig3ProcsTopopt
-		}
-		for _, blk := range cfg.Table2Blocks {
-			add(b, procs, blk, "N", transform.Config{})
-			for _, name := range names {
-				add(b, procs, blk, name, variants[name])
-			}
-		}
-	}
-
+	names, keys, jobs := table2Jobs(cfg)
 	fsCounts, err := runJobs(cfg, "table2", jobs)
 	failed := failedKeys(err)
 	fs := make(map[table2Key]int64, len(keys))
@@ -184,6 +131,68 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		rows = append(rows, row)
 	}
 	return rows, partial(err, len(jobs))
+}
+
+// table2Jobs enumerates Table 2's cells — the unoptimized reference
+// and every variant, per program and block size — returning the
+// sorted variant names and each job's table key, index-aligned with
+// the jobs. Each job's result is the cell's false-sharing miss count.
+func table2Jobs(cfg Config) ([]string, []table2Key, []pool.Job[int64]) {
+	variants := onlyConfigs()
+	names := make([]string, 0, len(variants))
+	for name := range variants {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	var jobs []pool.Job[int64]
+	var keys []table2Key
+	add := func(b *workload.Benchmark, procs int, blk int64, variant string, hc transform.Config) {
+		keys = append(keys, table2Key{prog: b.Name, block: blk, variant: variant})
+		ver := VersionC
+		if variant == "N" {
+			ver = VersionN
+		}
+		key := fmt.Sprintf("table2/%s/b%d/%s", b.Name, blk, variant)
+		// Attribution covers the reference and the fully transformed
+		// variant; the single-transformation ablations stay plain
+		// (their deltas are Table 2's own columns).
+		diag := cfg.Diag && (variant == "N" || variant == "all")
+		jobs = append(jobs, pool.Job[int64]{
+			Key: key,
+			Fingerprint: fingerprint("table2",
+				"prog="+b.Name, fmt.Sprintf("blk=%d", blk), "variant="+variant,
+				fmt.Sprintf("procs=%d", procs), fmt.Sprintf("heur=%+v", hc),
+				fmt.Sprintf("scale=%d", cfg.Scale), fmt.Sprintf("budget=%d", cfg.StepBudget),
+				fmt.Sprintf("verify=%v", cfg.Verify), fmt.Sprintf("diag=%v", diag),
+				"src="+srcHash(b.Source(cfg.Scale))),
+			Run: func(ctx context.Context) (int64, error) {
+				prog, err := cfg.buildProgram(ctx, key, b, ver, procs, blk, hc)
+				if err != nil {
+					return 0, fmt.Errorf("table2 %s %s: %w", b.Name, variant, err)
+				}
+				st, err := cfg.measureCell(ctx, key, b.Name, ver, procs, blk, prog, diag)
+				if err != nil {
+					return 0, err
+				}
+				return st.FalseShare, nil
+			},
+		})
+	}
+	for _, b := range workload.Unoptimizable() {
+		procs := cfg.Fig3Procs
+		if b.Name == "topopt" && cfg.Fig3ProcsTopopt > 0 {
+			procs = cfg.Fig3ProcsTopopt
+		}
+		for _, blk := range cfg.Table2Blocks {
+			add(b, procs, blk, "N", transform.Config{})
+			for _, name := range names {
+				add(b, procs, blk, name, variants[name])
+			}
+		}
+	}
+
+	return names, keys, jobs
 }
 
 func mean(xs []float64) float64 {

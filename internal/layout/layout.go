@@ -31,6 +31,36 @@ import (
 // GlobalBase is the address of the first shared global.
 const GlobalBase int64 = 0x1000
 
+// MaxSpace bounds every address space the VM runs a program in: the
+// shared space (globals, heap and arenas) and each process's private
+// space. The VM allocates one page-directory pointer per 4 KiB page of
+// a space up front, so a 4 GiB space costs an 8 MiB directory.
+const MaxSpace int64 = 1 << 32
+
+// ErrTooLarge reports an object or address space whose size overflows
+// or exceeds MaxSpace. Layout fails with it at compile time, instead
+// of wrapping the size around or sizing a page directory the VM
+// cannot allocate.
+var ErrTooLarge = fmt.Errorf("size exceeds %d bytes", MaxSpace)
+
+// mulSize multiplies two positive sizes, failing with ErrTooLarge when
+// the product exceeds MaxSpace.
+func mulSize(a, b int64) (int64, error) {
+	if a < 0 || b < 0 || (a > 0 && b > MaxSpace/a) {
+		return 0, ErrTooLarge
+	}
+	return a * b, nil
+}
+
+// addSize adds two sizes, failing with ErrTooLarge when the sum
+// exceeds MaxSpace.
+func addSize(a, b int64) (int64, error) {
+	if a < 0 || b < 0 || a > MaxSpace-b {
+		return 0, ErrTooLarge
+	}
+	return a + b, nil
+}
+
 // VarError is a layout failure attributable to one shared global. The
 // restructurer uses the attribution to roll back just the
 // transformations that touch that object (per-object degradation)
@@ -197,7 +227,9 @@ func Compute(info *types.Info, dirs *Directives, nprocs int64) (*Layout, error) 
 		}
 		addr = roundUp(addr, align)
 		vl.Base = addr
-		addr += vl.Total
+		if addr, err = addSize(addr, vl.Total); err != nil {
+			return nil, &VarError{Name: g.Name, Err: fmt.Errorf("shared space: %w", err)}
+		}
 		l.Vars[g.Name] = vl
 		l.Order = append(l.Order, g.Name)
 	}
@@ -210,7 +242,13 @@ func Compute(info *types.Info, dirs *Directives, nprocs int64) (*Layout, error) 
 	heapSize := int64(1 << 24) // 16 MiB shared heap
 	l.ArenaBase = l.HeapBase + heapSize
 	l.ArenaSize = DefaultArenaSize
-	l.End = l.ArenaBase + l.ArenaSize*nprocs
+	arenas, err := mulSize(l.ArenaSize, nprocs)
+	if err == nil {
+		l.End, err = addSize(l.ArenaBase, arenas)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("layout: shared space at %d processes: %w", nprocs, err)
+	}
 	return l, nil
 }
 
@@ -243,11 +281,13 @@ func (l *Layout) SizeOf(t *types.Type) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		n := int64(1)
+		n := es
 		for _, d := range dims {
-			n *= d
+			if n, err = mulSize(n, d); err != nil {
+				return 0, fmt.Errorf("layout: array %s: %w", t, err)
+			}
 		}
-		return n * es, nil
+		return n, nil
 	}
 	return 0, fmt.Errorf("layout: cannot size type %s", t)
 }
@@ -289,7 +329,9 @@ func (l *Layout) structLayout(name string, visiting map[string]bool) (*StructLay
 		}
 		off = roundUp(off, falign)
 		sl.Offsets = append(sl.Offsets, off)
-		off += fsize
+		if off, err = addSize(off, fsize); err != nil {
+			return nil, fmt.Errorf("layout: struct %q: %w", name, err)
+		}
 		if falign > sl.Align {
 			sl.Align = falign
 		}
@@ -318,11 +360,13 @@ func (l *Layout) fieldSize(t *types.Type, visiting map[string]bool) (size, align
 		if err != nil {
 			return 0, 0, err
 		}
-		n := int64(1)
+		n := es
 		for _, d := range dims {
-			n *= d
+			if n, err = mulSize(n, d); err != nil {
+				return 0, 0, fmt.Errorf("layout: field array %s: %w", t, err)
+			}
 		}
-		return n * es, ea, nil
+		return n, ea, nil
 	case types.StructK:
 		sl, err := l.structLayout(t.Struct.Name, visiting)
 		if err != nil {
@@ -375,7 +419,10 @@ func (l *Layout) varLayout(sym *types.Symbol) (*VarLayout, error) {
 	strides := make([]int64, len(dims))
 	strides[len(dims)-1] = stride
 	for i := len(dims) - 2; i >= 0; i-- {
-		row := strides[i+1] * dims[i+1]
+		row, err := mulSize(strides[i+1], dims[i+1])
+		if err != nil {
+			return nil, err
+		}
 		if i == 0 {
 			if pad, ok := l.Dirs.PadRow[sym.Name]; ok && pad > 0 {
 				row = roundUp(row, pad)
@@ -384,7 +431,10 @@ func (l *Layout) varLayout(sym *types.Symbol) (*VarLayout, error) {
 		strides[i] = row
 	}
 	vl.Strides = strides
-	total := strides[0] * dims[0]
+	total, err := mulSize(strides[0], dims[0])
+	if err != nil {
+		return nil, err
+	}
 	// Row padding of a 1-D array is meaningless; PadRow applies to the
 	// outermost dimension of rank >= 2 arrays only.
 	vl.Total = total

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -278,5 +279,54 @@ func TestRoundUp(t *testing.T) {
 		if got := RoundUp(c[0], c[1]); got != c[2] {
 			t.Errorf("RoundUp(%d, %d) = %d, want %d", c[0], c[1], got, c[2])
 		}
+	}
+}
+
+// layoutErr runs the front end and Compute, returning Compute's error.
+func layoutErr(t *testing.T, src string, nprocs int64) error {
+	t.Helper()
+	f, err := parser.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	info, err := types.Check(f)
+	if err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	_, err = Compute(info, NewDirectives(64), nprocs)
+	return err
+}
+
+// TestHugeSharedArrayRejected: a shared array whose size wraps int64
+// once made vm.New panic (makeslice: len out of range) sizing the page
+// directory; layout now rejects it, and any space past MaxSpace, with
+// a typed error naming the global.
+func TestHugeSharedArrayRejected(t *testing.T) {
+	for _, src := range []string{
+		"shared int g[2305843009213693952];\nvoid main() { g[pid] = 1; }",
+		"shared double g[1048576][1048576];\nvoid main() { g[pid][0] = 1; }",
+		"shared int a[600000000];\nshared int g[600000000];\nvoid main() { }",
+	} {
+		err := layoutErr(t, src, 2)
+		if !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%q: err = %v, want ErrTooLarge", src, err)
+		}
+		var ve *VarError
+		if !errors.As(err, &ve) || ve.Name != "g" {
+			t.Errorf("%q: err = %v, want a VarError naming g", src, err)
+		}
+	}
+	// A struct past the bound fails naming the struct.
+	err := layoutErr(t, "struct S { int a[1073741824]; int b[1073741824]; };\nshared struct S g[1];\nvoid main() { }", 2)
+	if !errors.Is(err, ErrTooLarge) || !contains(err.Error(), `struct "S"`) {
+		t.Errorf("struct: err = %v, want ErrTooLarge naming struct S", err)
+	}
+	// Too many processes for the per-process arenas.
+	if err := layoutErr(t, "shared int g[4];\nvoid main() { }", 1<<13); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("arenas at 8192 processes: err = %v, want ErrTooLarge", err)
+	}
+	// Large but representable objects still lay out.
+	if err := layoutErr(t, "shared int g[100000000];\nvoid main() { }", 56); err != nil {
+		t.Errorf("400 MB array: %v", err)
 	}
 }

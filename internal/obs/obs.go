@@ -272,6 +272,20 @@ func (s *Span) Adopt(children []*Span) {
 	s.Children = append(s.Children, children...)
 }
 
+// Snapshot returns a deep copy of s and its subtree, detached from any
+// recorder, as Recorder.Spans returns them. A cell that reuses another
+// cell's execution adopts a snapshot of that execution's span. nil-safe.
+func (s *Span) Snapshot() *Span {
+	if s == nil {
+		return nil
+	}
+	if r := s.rec; r != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
+	return snapshotSpans([]*Span{s}, time.Now())[0]
+}
+
 // Fail annotates the span with a failure class counter: "cancelled"
 // for context cancellation, "timeout" for a deadline, "error" for
 // anything else. The experiment pool stamps job spans this way so

@@ -164,6 +164,32 @@ func TestSnapshotOfOpenSpans(t *testing.T) {
 	}
 }
 
+// TestSpanSnapshot: a span's snapshot is a deep, detached copy of its
+// subtree — later changes to either side do not reach the other.
+func TestSpanSnapshot(t *testing.T) {
+	var nilSpan *Span
+	if nilSpan.Snapshot() != nil {
+		t.Fatal("nil span snapshot must be nil")
+	}
+	rec := NewRecorder()
+	sp := rec.Begin("measure")
+	sp.Set("blocks", 1)
+	child := rec.Begin("vm.run")
+	child.Set("instrs", 7)
+	child.End()
+	sp.End()
+	c := sp.Snapshot()
+	if c.Name != "measure" || c.Counter("blocks") != 1 || len(c.Children) != 1 || c.Children[0].Counter("instrs") != 7 {
+		t.Fatalf("snapshot = %+v", c)
+	}
+	c.Set("blocks", 2)
+	c.Children[0].Set("instrs", 8)
+	sp.Set("extra", 1)
+	if sp.Counter("blocks") != 1 || child.Counter("instrs") != 7 || c.Counter("extra") != 0 {
+		t.Error("snapshot shares state with the recorded span")
+	}
+}
+
 func TestConcurrentCounting(t *testing.T) {
 	rec := NewRecorder()
 	sp := rec.Begin("par")

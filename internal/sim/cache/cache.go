@@ -777,7 +777,11 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// Stats returns the accumulated statistics.
+// Stats returns the accumulated statistics. The pointer is the
+// simulator's live accumulator, not a copy: it keeps counting while
+// the simulator runs, and holding it keeps the whole simulator (its
+// cache arrays and directory) alive. Copy the value to keep the
+// numbers without the simulator.
 func (s *Sim) Stats() *Stats { return &s.stats }
 
 // SetSampler installs fn, invoked synchronously with the running

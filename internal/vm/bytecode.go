@@ -11,7 +11,11 @@
 // simulator.
 package vm
 
-import "fmt"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+)
 
 // Op is a bytecode opcode.
 type Op uint8
@@ -177,4 +181,40 @@ func (f *Func) Disasm() string {
 		s += fmt.Sprintf("  %4d  %-9s %d %d\n", i, in.Op, in.A, in.B)
 	}
 	return s
+}
+
+// Digest is the sha256 of everything an execution of the program
+// depends on: every function's name, frame shape and code (operands
+// and source lines included), Main, the address-space map and Nprocs.
+// Two programs with equal digests emit the same reference stream and
+// the same counters, so one execution can stand for both.
+func (p *Program) Digest() [32]byte {
+	n := 0
+	for _, f := range p.Funcs {
+		n += 32 + len(f.Name) + 24*len(f.Code)
+	}
+	b := make([]byte, 0, n+64)
+	word := func(v int64) { b = binary.LittleEndian.AppendUint64(b, uint64(v)) }
+	word(int64(len(p.Funcs)))
+	for _, f := range p.Funcs {
+		word(int64(len(f.Name)))
+		b = append(b, f.Name...)
+		word(int64(f.NParams))
+		word(int64(f.NLocals))
+		word(int64(len(f.Code)))
+		for _, in := range f.Code {
+			b = append(b, byte(in.Op))
+			b = binary.LittleEndian.AppendUint32(b, uint32(in.Line))
+			word(in.A)
+			word(in.B)
+		}
+	}
+	word(int64(p.Main))
+	word(p.SharedEnd)
+	word(p.HeapBase)
+	word(p.ArenaBase)
+	word(p.ArenaSize)
+	word(p.PrivSize)
+	word(int64(p.Nprocs))
+	return sha256.Sum256(b)
 }

@@ -69,8 +69,11 @@ func (c *compiler) layoutPrivate() error {
 			continue
 		}
 		size, err := c.lay.SizeOf(sym.Type)
+		if err == nil && off+size > layout.MaxSpace {
+			err = layout.ErrTooLarge
+		}
 		if err != nil {
-			return err
+			return fmt.Errorf("vm: private global %q: %w", g.Name, err)
 		}
 		align := int64(8)
 		off = layout.RoundUp(off, align)
@@ -164,7 +167,7 @@ func (c *compiler) stmt(s ast.Stmt) error {
 		if sym.Type.Kind == types.Array {
 			size, err := c.lay.SizeOf(sym.Type)
 			if err != nil {
-				return err
+				return fmt.Errorf("vm: %s: local array %q: %w", x.P, x.Decl.Name, err)
 			}
 			c.emit(OpLocalArr, size, int64(sym.Slot))
 			return nil

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -140,6 +141,63 @@ func TestRunErrorFormatting(t *testing.T) {
 	for _, want := range []string{"proc 3", "main:7", "boom"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("error %q missing %q", s, want)
+		}
+	}
+}
+
+// TestLocalArraySizeOverflowRejected: a local array whose byte size
+// wraps int64 once compiled to a negative OpLocalArr size, so the
+// private bump pointer moved backwards and the program ran to
+// completion. Compile now fails, naming the array.
+func TestLocalArraySizeOverflowRejected(t *testing.T) {
+	src := `
+void f() {
+    int a[2305843009213693952];
+    a[0] = 1;
+}
+void main() { f(); }
+`
+	_, err := compileRaw(t, src, 2)
+	if !errors.Is(err, layout.ErrTooLarge) || !strings.Contains(err.Error(), `local array "a"`) {
+		t.Fatalf("err = %v, want ErrTooLarge naming local array \"a\"", err)
+	}
+	// A private global past the private space's bound is rejected too.
+	_, err = compileRaw(t, "private int big[2000000000];\nvoid main() { }", 2)
+	if !errors.Is(err, layout.ErrTooLarge) || !strings.Contains(err.Error(), `"big"`) {
+		t.Fatalf("err = %v, want ErrTooLarge naming private global \"big\"", err)
+	}
+}
+
+// TestProgramDigest: the digest is a function of the compiled program
+// alone — recompiling gives the same digest — and it moves with the
+// code, a source line, and the address-space map.
+func TestProgramDigest(t *testing.T) {
+	const src = `
+shared int a[8];
+void main() {
+    a[pid] = 1;
+}
+`
+	digest := func(src string, nprocs int) [32]byte {
+		t.Helper()
+		prog, err := compileRaw(t, src, nprocs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog.Digest()
+	}
+	base := digest(src, 4)
+	if digest(src, 4) != base {
+		t.Fatal("recompiling the same source changed the digest")
+	}
+	for name, d := range map[string][32]byte{
+		"code":   digest(strings.Replace(src, "= 1", "= 2", 1), 4),
+		"line":   digest(strings.Replace(src, "void main() {", "void main() {\n", 1), 4),
+		"layout": digest(strings.Replace(src, "a[8]", "a[16]", 1), 4),
+		"nprocs": digest(src, 8),
+	} {
+		if d == base {
+			t.Errorf("changing the %s left the digest unchanged", name)
 		}
 	}
 }

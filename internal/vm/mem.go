@@ -22,6 +22,8 @@ type space struct {
 	size  int64
 }
 
+// newSpace sizes the directory for size bytes; layout rejects spaces
+// past layout.MaxSpace, so the directory stays within a few MiB.
 func newSpace(size int64) space {
 	return space{pages: make([]*[pageSize]byte, (size+pageMask)>>pageShift), size: size}
 }
